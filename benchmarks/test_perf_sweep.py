@@ -54,7 +54,7 @@ def test_store_resume_beats_cold_sweep(record, tmp_path):
     # Mixed re-run through a live HTTP server: drop half the store so
     # half the grid is answered from disk and half is real serve jobs.
     for key in sorted(store.keys())[:: 2]:
-        os.unlink(store._point_path(key))
+        os.unlink(store.path(key))
     missing = spec.size - len(store)
     srv = make_server(port=0, service=JobService(queue_size=16, job_workers=2))
     thread = threading.Thread(target=srv.serve_forever, daemon=True)

@@ -149,20 +149,15 @@ class Session:
         style: Optional[str],
         run: Optional[RunConfig],
     ) -> IsolationConfig:
-        cfg = self._run(run)
+        """The caller's config (or the default) with the effective
+        RunConfig's cycles, warmup, engine and workers."""
         if config is None:
-            config = IsolationConfig(
-                style=style or "and",
-                cycles=cfg.cycles,
-                warmup=cfg.warmup,
-                engine=cfg.engine,
-                workers=cfg.workers,
-            )
+            config = IsolationConfig(style=style or "and")
         elif style is not None and style != config.style:
             import dataclasses
 
             config = dataclasses.replace(config, style=style)
-        return config
+        return config.with_run(self._run(run))
 
     # ------------------------------------------------------------------
     def simulate(

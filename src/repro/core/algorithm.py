@@ -126,6 +126,25 @@ class IsolationConfig:
                 f"workers must be >= 0 (0 = auto), got {self.workers}"
             )
 
+    def run_config(self) -> RunConfig:
+        """The four run-control fields as a :class:`RunConfig`."""
+        return RunConfig(
+            cycles=self.cycles,
+            warmup=self.warmup,
+            engine=self.engine,
+            workers=self.workers,
+        )
+
+    def with_run(self, run: RunConfig) -> "IsolationConfig":
+        """A copy whose cycles, warmup, engine and workers come from ``run``."""
+        return replace(
+            self,
+            cycles=run.cycles,
+            warmup=run.warmup,
+            engine=run.engine,
+            workers=run.workers,
+        )
+
 
 @dataclass
 class DesignMetrics:
@@ -417,25 +436,21 @@ def isolate_design(
     ``stimulus`` is either a stimulus object (deep-copied per estimation
     run so every run sees identical statistics) or a zero-argument
     factory returning a fresh stimulus. Run control (``cycles``,
-    ``warmup``, ``engine``) lives on ``config``; ``run=RunConfig(...)``
-    and ``engine=`` override it, and bare ``cycles=``/``warmup=`` are
-    deprecated aliases.
+    ``warmup``, ``engine``, ``workers``) lives on ``config``;
+    ``run=RunConfig(...)`` and ``engine=`` override it, and bare
+    ``cycles=``/``warmup=`` are deprecated aliases.
     """
     config = config or IsolationConfig()
     if run is not None or engine is not None or cycles is not None or warmup is not None:
         cfg = resolve_run_config(
             run,
-            defaults=RunConfig(
-                cycles=config.cycles, warmup=config.warmup, engine=config.engine
-            ),
+            defaults=config.run_config(),
             stacklevel=3,
             engine=engine,
             cycles=cycles,
             warmup=warmup,
         )
-        config = replace(
-            config, cycles=cfg.cycles, warmup=cfg.warmup, engine=cfg.engine
-        )
+        config = config.with_run(cfg)
     library = library or default_library()
 
     # Algorithm 1 now lives in the pass-agnostic optimizer (repro.opt);

@@ -79,9 +79,9 @@ def compare_styles(
 ) -> StyleComparison:
     """Run isolation once per style and tabulate paper-style rows.
 
-    Run control (``cycles``, ``warmup``, ``engine``) lives on ``config``;
-    ``run=RunConfig(...)`` and ``engine=`` override it, and bare
-    ``cycles=``/``warmup=`` are deprecated aliases.
+    Run control (``cycles``, ``warmup``, ``engine``, ``workers``) lives
+    on ``config``; ``run=RunConfig(...)`` and ``engine=`` override it,
+    and bare ``cycles=``/``warmup=`` are deprecated aliases.
 
     With ``passes=["isolation", "clock_gating"]`` each style row runs
     the full :func:`repro.opt.optimize` pass pipeline instead of
@@ -93,19 +93,13 @@ def compare_styles(
     if run is not None or engine is not None or cycles is not None or warmup is not None:
         cfg = resolve_run_config(
             run,
-            defaults=RunConfig(
-                cycles=base_config.cycles,
-                warmup=base_config.warmup,
-                engine=base_config.engine,
-            ),
+            defaults=base_config.run_config(),
             stacklevel=3,
             engine=engine,
             cycles=cycles,
             warmup=warmup,
         )
-        base_config = dataclasses.replace(
-            base_config, cycles=cfg.cycles, warmup=cfg.warmup, engine=cfg.engine
-        )
+        base_config = base_config.with_run(cfg)
     library = library or default_library()
     styles = styles or ["and", "or", "latch"]
 

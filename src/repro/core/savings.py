@@ -276,7 +276,9 @@ class SavingsModel:
         from repro.netlist.bitref import parse_bitref
 
         support_rate = 0.0
-        for name in c.activation.support():
+        # Sorted: support() is a frozenset, and summing in hash order
+        # would make the last digit depend on PYTHONHASHSEED.
+        for name in sorted(c.activation.support()):
             net, _bit = parse_bitref(self.design, name)
             support_rate += min(1.0, monitor.toggle_rate(net))
         gate_energy = library.params_by_kind("and2").energy_in

@@ -27,7 +27,7 @@ registering a factory with :func:`register_pass` — see
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro import obs
@@ -43,7 +43,7 @@ from repro.core.algorithm import (
 from repro.errors import IsolationError
 from repro.netlist.design import Design
 from repro.power.library import TechnologyLibrary, default_library
-from repro.runconfig import RunConfig, resolve_run_config
+from repro.runconfig import RunConfig
 from repro.timing.sta import analyze_timing
 
 #: The optimizer reuses Algorithm 1's knobs unchanged; the pass list is a
@@ -400,19 +400,11 @@ def optimize(
     a zero-argument factory. ``passes`` lists registered pass names in
     application order (order is documented not to change the final
     design — see ``docs/passes.md``). ``run=RunConfig(...)`` overrides
-    the config's cycles/warmup/engine, as in ``isolate_design``.
+    the config's cycles/warmup/engine/workers, as in ``isolate_design``.
     """
     config = config or IsolationConfig()
     if run is not None:
-        cfg = resolve_run_config(
-            run,
-            defaults=RunConfig(
-                cycles=config.cycles, warmup=config.warmup, engine=config.engine
-            ),
-        )
-        config = replace(
-            config, cycles=cfg.cycles, warmup=cfg.warmup, engine=cfg.engine
-        )
+        config = config.with_run(run)
     library = library or default_library()
     pass_objects = resolve_passes(passes)
     pass_names = tuple(p.name for p in pass_objects)

@@ -60,6 +60,8 @@ class IsolationPass(TransformPass):
         # Prune candidates whose activation function is a tautology —
         # syntactically (f ≡ 1) or semantically (e.g. the OR of a full
         # mux-select decode): isolation could never block anything.
+        # f ≡ 0 goes too: the result is never observed, so there is
+        # nothing to isolate (isolate_candidate refuses such a module).
         from repro.boolean.bdd import BddManager
 
         tautology_check = BddManager()
@@ -69,6 +71,9 @@ class IsolationPass(TransformPass):
                 continue
             if c.always_active:
                 obs.counter("candidates.rejected", reason="always_active").inc()
+                continue
+            if c.activation.is_false:
+                obs.counter("candidates.rejected", reason="never_active").inc()
                 continue
             if tautology_check.is_tautology(c.activation):
                 obs.counter("candidates.rejected", reason="tautology").inc()

@@ -11,10 +11,11 @@ multi-client service (stdlib only, like :mod:`repro.obs` and
   front end (``/v1/jobs``, ``/healthz``, ``/metrics``, graceful
   shutdown);
 * :class:`ServeClient` — the stdlib Python client;
-* :class:`DurableStore` / :class:`DiskResultCache` / :class:`Journal` —
-  opt-in crash safety (``state_dir=``): a fsync'd JSONL write-ahead
-  journal plus a content-addressed disk blob cache, replayed on restart
-  (:class:`RecoveryReport`);
+* :class:`DurableStore` / :class:`Journal` — opt-in crash safety
+  (``state_dir=``): a fsync'd JSONL write-ahead journal plus the
+  result cache's disk tier, a verified blob store
+  (:class:`repro.store.BlobStore`, described in ``docs/robustness.md``),
+  replayed on restart (:class:`RecoveryReport`);
 * :class:`WorkerSupervisor` — opt-in supervised execution
   (``supervise=True``): forked worker processes with hard deadlines,
   crash retry, lease heartbeats and a circuit breaker.
@@ -27,7 +28,6 @@ the fault model and crash-recovery runbook in ``docs/robustness.md``.
 from repro.serve.cache import ResultCache, job_cache_key
 from repro.serve.client import ServeClient
 from repro.serve.durable import (
-    DiskResultCache,
     DurableStore,
     Journal,
     RecoveryReport,
@@ -57,7 +57,6 @@ __all__ = [
     "make_server",
     "ServeClient",
     "DurableStore",
-    "DiskResultCache",
     "Journal",
     "RecoveryReport",
     "payload_digest",

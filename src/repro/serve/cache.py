@@ -14,27 +14,26 @@ Cached values are the deterministic *result payloads* built by
 cache hit is byte-identical to the miss that populated it.
 
 Eviction is LRU with a fixed entry capacity; ``capacity=0`` disables
-caching entirely. Hit/miss/eviction counts feed the
-``serve.cache.hits`` / ``serve.cache.misses`` / ``serve.cache.evictions``
-counters of the service's metrics registry (scraped via ``/metrics``).
-All operations are guarded by one lock — the registry itself is not
-thread-safe, so the counters are only ever touched under it.
+the memory tier. With a durable state dir the cache also has a disk
+tier, a :class:`repro.store.BlobStore` that keeps every result across
+restarts. Hit/miss/eviction counts feed the ``serve.cache.hits`` /
+``serve.cache.misses`` / ``serve.cache.evictions`` counters of the
+service's metrics registry (scraped via ``/metrics``), plus
+``serve.cache.disk_hits`` and ``serve.cache.corrupt`` for the disk
+tier. The counters are only ever touched under the cache's lock — the
+registry itself is not thread-safe, so the service hands the cache the
+lock that guards its recorder.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 from collections import OrderedDict
 from typing import Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
-
-
-def canonical_json(payload: object) -> str:
-    """Deterministic JSON rendering (sorted keys, no whitespace)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+from repro.store import REASONS, BlobStore, canonical_json
 
 
 def job_cache_key(
@@ -70,19 +69,32 @@ def job_cache_key(
 
 
 class ResultCache:
-    """Thread-safe LRU cache of job result payloads.
+    """Thread-safe LRU cache of job result payloads over an optional disk.
 
-    Counters are recorded into ``metrics`` (the service registry) under
-    the cache's own lock; pass ``None`` for a standalone registry.
+    ``disk`` adds a :class:`~repro.store.BlobStore` tier: ``put`` writes
+    through to it (its typed write error propagates), a memory miss
+    falls back to it — a *disk hit*, promoted into memory — and
+    ``capacity`` then bounds only the memory tier. A damaged blob is
+    quarantined by the store and counted as a ``serve.cache.corrupt``
+    miss, so the job is recomputed rather than a wrong result served.
+
+    Counters are recorded into ``metrics`` (the service registry; pass
+    ``None`` for a standalone one) under ``lock`` (a private lock when
+    ``None``).
     """
 
     def __init__(
-        self, capacity: int = 256, metrics: Optional[MetricsRegistry] = None
+        self,
+        capacity: int = 256,
+        metrics: Optional[MetricsRegistry] = None,
+        disk: Optional[BlobStore] = None,
+        lock=None,
     ) -> None:
         if capacity < 0:
             raise ValueError(f"cache capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        self._lock = threading.Lock()
+        self.disk = disk
+        self._lock = lock if lock is not None else threading.Lock()
         self._entries: "OrderedDict[str, dict]" = OrderedDict()
         self._metrics = metrics if metrics is not None else MetricsRegistry()
 
@@ -91,24 +103,49 @@ class ResultCache:
         """``(hit, payload)`` — and the hit/miss counter side effect."""
         with self._lock:
             payload = self._entries.get(key)
+            if payload is not None:
+                self._entries.move_to_end(key)
+                self._metrics.counter("serve.cache.hits").inc()
+                return True, payload
+            if self.disk is None:
+                self._metrics.counter("serve.cache.misses").inc()
+                return False, None
+        payload, reason = self.disk.read(key)
+        with self._lock:
+            if reason is not None:
+                self._metrics.counter("serve.cache.corrupt", reason=reason).inc()
             if payload is None:
                 self._metrics.counter("serve.cache.misses").inc()
                 return False, None
-            self._entries.move_to_end(key)
+            # A disk hit is a hit (one counter either way), promoted to
+            # the memory tier; only put() counts evictions.
             self._metrics.counter("serve.cache.hits").inc()
-            return True, payload
+            self._metrics.counter("serve.cache.disk_hits").inc()
+            if self.capacity:
+                self._remember(key, payload)
+        return True, payload
 
     def put(self, key: str, payload: dict) -> None:
         """Insert (or refresh) an entry, evicting LRU entries over capacity."""
+        if self.disk is not None:
+            self.disk.put(key, payload)
         if self.capacity == 0:
             return
         with self._lock:
-            self._entries[key] = payload
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._metrics.counter("serve.cache.evictions").inc()
-            self._metrics.gauge("serve.cache.entries").set(len(self._entries))
+            evicted = self._remember(key, payload)
+            if evicted:
+                self._metrics.counter("serve.cache.evictions").inc(evicted)
+
+    def _remember(self, key: str, payload: dict) -> int:
+        """Insert into the memory tier (lock held); returns evictions."""
+        self._entries[key] = payload
+        self._entries.move_to_end(key)
+        evicted = 0
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            evicted += 1
+        self._metrics.gauge("serve.cache.entries").set(len(self._entries))
+        return evicted
 
     def __len__(self) -> int:
         with self._lock:
@@ -122,10 +159,25 @@ class ResultCache:
     def stats(self) -> dict:
         """Snapshot for ``/healthz`` and the CLI shutdown summary."""
         with self._lock:
-            return {
+            payload = {
                 "entries": len(self._entries),
                 "capacity": self.capacity,
                 "hits": self._metrics.value("serve.cache.hits") or 0,
                 "misses": self._metrics.value("serve.cache.misses") or 0,
                 "evictions": self._metrics.value("serve.cache.evictions") or 0,
             }
+            if self.disk is None:
+                return payload
+            corrupt = sum(
+                self._metrics.value("serve.cache.corrupt", reason=reason) or 0
+                for reason in REASONS
+            )
+        payload.update(
+            {
+                "disk_entries": len(self.disk),
+                "quarantined": len(self.disk.quarantined()),
+                "corrupt": corrupt,
+                "root": self.disk.root,
+            }
+        )
+        return payload

@@ -9,15 +9,14 @@ a ``kill -9`` at any instant leaves a recoverable state:
   *tolerant*: a torn tail write (the only corruption an append-only log
   can suffer from a crash) is detected, counted and dropped instead of
   aborting recovery — every record fsync'd before the crash survives.
-* :class:`DiskResultCache` — the content-addressed result cache spilled
-  to a dir-of-blobs keyed by the existing SHA-256 cache keys
-  (:func:`repro.serve.cache.job_cache_key`). Every blob embeds the
-  digest of its canonical payload and is **integrity-verified on
-  read**; a corrupt blob (bit rot, torn write, hostile edit) is moved
-  to ``quarantine/`` and reported as a miss, so the job is recomputed
-  rather than a silently wrong result served. Writes are atomic
-  (tempfile + fsync + rename) and the in-memory LRU of
-  :class:`~repro.serve.cache.ResultCache` stays on top as the hot tier.
+* the result blobs (:func:`result_blobs`) — a
+  :class:`repro.store.BlobStore` keyed by the SHA-256 cache keys
+  (:func:`repro.serve.cache.job_cache_key`): atomic writes, every read
+  integrity-verified, a corrupt blob (bit rot, torn write, hostile
+  edit) quarantined and reported as a miss, so the job is recomputed
+  rather than a silently wrong result served. It is the disk tier of
+  the service's :class:`~repro.serve.cache.ResultCache`, whose
+  in-memory LRU stays on top as the hot tier.
 
 :class:`DurableStore` owns the layout::
 
@@ -38,34 +37,18 @@ corruption is silent.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import StateStoreError
-from repro.obs.metrics import MetricsRegistry
-
-from .cache import ResultCache, canonical_json
+from repro.store import BlobStore, payload_digest  # noqa: F401  (re-exported)
 
 #: Journal record types, in lifecycle order.
 RECORD_TYPES = ("submit", "start", "retry", "finish", "fail", "cancel")
-
-
-def payload_digest(payload: object) -> str:
-    """The SHA-256 of a result payload's canonical JSON.
-
-    This is the integrity fingerprint stored next to every cache blob
-    and in every ``finish`` journal record: byte-identical payloads —
-    the determinism contract of :mod:`repro.serve.jobs` — have equal
-    digests, so any post-crash recomputation can be checked against the
-    pre-crash fingerprint.
-    """
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -208,157 +191,12 @@ def replay_journal(records: List[dict]) -> "Dict[str, dict]":
     return jobs
 
 
-# ----------------------------------------------------------------------
-# Disk-backed result cache
-# ----------------------------------------------------------------------
-class DiskResultCache(ResultCache):
-    """Content-addressed blob store under the in-memory LRU hot tier.
+def result_blobs(state_dir: str) -> BlobStore:
+    """The verified result blobs of a state dir (``cache/blobs``).
 
-    ``capacity`` bounds only the *memory* tier; the disk tier keeps
-    every result (it is the persistence layer that preserves the
-    40-142x cached speedup across restarts). Reads verify the embedded
-    payload digest; mismatches quarantine the blob and count as misses.
+    Write failures raise :class:`~repro.errors.StateStoreError`.
     """
-
-    def __init__(
-        self,
-        root: str,
-        capacity: int = 256,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        super().__init__(capacity, metrics)
-        self.root = root
-        self.blob_dir = os.path.join(root, "blobs")
-        self.quarantine_dir = os.path.join(root, "quarantine")
-        try:
-            os.makedirs(self.blob_dir, exist_ok=True)
-            os.makedirs(self.quarantine_dir, exist_ok=True)
-        except OSError as exc:
-            raise StateStoreError(f"cannot create cache dirs under {root!r}: {exc}") from exc
-
-    # ------------------------------------------------------------------
-    def _blob_path(self, key: str) -> str:
-        return os.path.join(self.blob_dir, key[:2], f"{key}.json")
-
-    def get(self, key: str) -> Tuple[bool, Optional[dict]]:
-        with self._lock:
-            payload = self._entries.get(key)
-            if payload is not None:
-                self._entries.move_to_end(key)
-                self._metrics.counter("serve.cache.hits").inc()
-                return True, payload
-        payload = self._read_blob(key)
-        if payload is None:
-            with self._lock:
-                self._metrics.counter("serve.cache.misses").inc()
-            return False, None
-        with self._lock:
-            # A disk hit is a hit (one counter either way), promoted to
-            # the hot tier under the ordinary LRU bound.
-            self._metrics.counter("serve.cache.hits").inc()
-            self._metrics.counter("serve.cache.disk_hits").inc()
-            if self.capacity:
-                self._entries[key] = payload
-                self._entries.move_to_end(key)
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                self._metrics.gauge("serve.cache.entries").set(len(self._entries))
-        return True, payload
-
-    def put(self, key: str, payload: dict) -> None:
-        self._write_blob(key, payload)
-        super().put(key, payload)
-
-    # ------------------------------------------------------------------
-    def _read_blob(self, key: str) -> Optional[dict]:
-        path = self._blob_path(key)
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path, "r", encoding="utf-8", errors="replace") as fh:
-                wrapper = json.loads(fh.read())
-            payload = wrapper["payload"]
-            stored_digest = wrapper["sha256"]
-            stored_key = wrapper["key"]
-        except (OSError, json.JSONDecodeError, KeyError, TypeError):
-            self._quarantine(key, "unparseable")
-            return None
-        if stored_key != key or payload_digest(payload) != stored_digest:
-            self._quarantine(key, "digest-mismatch")
-            return None
-        return payload
-
-    def _write_blob(self, key: str, payload: dict) -> None:
-        path = self._blob_path(key)
-        wrapper = {"key": key, "sha256": payload_digest(payload), "payload": payload}
-        directory = os.path.dirname(path)
-        try:
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(canonical_json(wrapper))
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        except OSError as exc:
-            raise StateStoreError(f"cannot write cache blob {path!r}: {exc}") from exc
-
-    def _quarantine(self, key: str, reason: str) -> None:
-        """Move a corrupt blob out of the cache; never raise."""
-        path = self._blob_path(key)
-        try:
-            os.replace(path, os.path.join(self.quarantine_dir, f"{key}.json"))
-        except OSError:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        with self._lock:
-            self._metrics.counter("serve.cache.corrupt", reason=reason).inc()
-
-    # ------------------------------------------------------------------
-    def disk_keys(self) -> List[str]:
-        keys = []
-        for shard in sorted(os.listdir(self.blob_dir)):
-            shard_dir = os.path.join(self.blob_dir, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".json"):
-                    keys.append(name[: -len(".json")])
-        return keys
-
-    def verify(self) -> dict:
-        """Integrity-scan every blob: ``{verified, quarantined}`` counts."""
-        verified = quarantined = 0
-        for key in self.disk_keys():
-            if self._read_blob(key) is None:
-                quarantined += 1
-            else:
-                verified += 1
-        return {"verified": verified, "quarantined": quarantined}
-
-    def stats(self) -> dict:
-        payload = super().stats()
-        with self._lock:
-            corrupt = 0
-            for reason in ("unparseable", "digest-mismatch"):
-                corrupt += (
-                    self._metrics.value("serve.cache.corrupt", reason=reason) or 0
-                )
-        payload.update(
-            {
-                "disk_entries": len(self.disk_keys()),
-                "quarantined": len(os.listdir(self.quarantine_dir)),
-                "corrupt": corrupt,
-                "root": self.root,
-            }
-        )
-        return payload
+    return BlobStore(os.path.join(state_dir, "cache"), "blobs", StateStoreError)
 
 
 # ----------------------------------------------------------------------
@@ -405,17 +243,11 @@ class RecoveryReport:
 
 
 class DurableStore:
-    """One ``--state-dir``: journal + disk cache + recovery bookkeeping."""
+    """One ``--state-dir``: journal + result blobs + recovery bookkeeping."""
 
     JOURNAL_NAME = "journal.jsonl"
 
-    def __init__(
-        self,
-        state_dir: str,
-        cache_capacity: int = 256,
-        metrics: Optional[MetricsRegistry] = None,
-        fsync: bool = True,
-    ) -> None:
+    def __init__(self, state_dir: str, fsync: bool = True) -> None:
         self.state_dir = state_dir
         try:
             os.makedirs(state_dir, exist_ok=True)
@@ -428,9 +260,7 @@ class DurableStore:
         #: anything) and the torn lines dropped reading them.
         self.replayed_records, self.corrupt_lines = Journal.read(self.journal_path)
         self.journal = Journal(self.journal_path, fsync=fsync)
-        self.cache = DiskResultCache(
-            os.path.join(state_dir, "cache"), cache_capacity, metrics
-        )
+        self.blobs = result_blobs(state_dir)
         self.last_recovery: Optional[RecoveryReport] = None
 
     def replayed_jobs(self) -> Dict[str, dict]:
@@ -440,6 +270,7 @@ class DurableStore:
         self.journal.close()
 
     def status(self) -> dict:
+        """Journal and recovery snapshot (the service adds its cache)."""
         payload = {
             "state_dir": self.state_dir,
             "journal": {
@@ -447,7 +278,6 @@ class DurableStore:
                 "replayed_records": len(self.replayed_records),
                 "corrupt_lines": self.corrupt_lines,
             },
-            "cache": self.cache.stats(),
         }
         if self.last_recovery is not None:
             payload["recovery"] = self.last_recovery.to_dict()

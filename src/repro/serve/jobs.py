@@ -85,7 +85,7 @@ from repro.sim.stimulus import (
 )
 
 from .cache import ResultCache, job_cache_key
-from .durable import DiskResultCache, DurableStore, RecoveryReport, payload_digest
+from .durable import DurableStore, RecoveryReport, payload_digest
 from .supervisor import RemoteJobError, WorkerSupervisor
 
 logger = logging.getLogger("repro.serve")
@@ -147,7 +147,6 @@ def _result_optimize(session: Session, params: dict) -> dict:
         from repro.core.algorithm import IsolationConfig
         from repro.core.cost import CostWeights
 
-        run_cfg = session.run
         kwargs["config"] = IsolationConfig(
             style=params.get("style") or "and",
             weights=CostWeights(
@@ -155,10 +154,6 @@ def _result_optimize(session: Session, params: dict) -> dict:
                 omega_a=float(params.get("omega_a", 0.25)),
                 h_min=float(params.get("h_min", 0.0)),
             ),
-            cycles=run_cfg.cycles,
-            warmup=run_cfg.warmup,
-            engine=run_cfg.engine,
-            workers=run_cfg.workers,
         )
     result = session.optimize(style=params.get("style"), **kwargs)
     payload = result.to_dict()
@@ -519,21 +514,20 @@ class JobService:
                 circuit_cooldown_s=circuit_cooldown_s,
             )
         if state_dir is not None:
-            self.store = DurableStore(
-                state_dir,
-                cache_capacity=cache_capacity,
-                metrics=self.recorder.metrics,
-                fsync=fsync,
-            )
-            self.cache = self.store.cache
-            self.cache._lock = self._obs_lock  # share the recorder lock
-        else:
-            self.cache = _LockedCache(
-                cache_capacity, self.recorder.metrics, self._obs_lock
-            )
+            self.store = DurableStore(state_dir, fsync=fsync)
+        # The cache counts into the service registry, so it takes the
+        # lock that guards the recorder.
+        self.cache = ResultCache(
+            cache_capacity,
+            self.recorder.metrics,
+            disk=self.store.blobs if self.store is not None else None,
+            lock=self._obs_lock,
+        )
         self._queue: "queue.Queue" = queue.Queue(maxsize=queue_size)
         self._jobs: Dict[str, Job] = {}
         self._jobs_lock = threading.RLock()
+        # Notified by every terminal transition (see _finish).
+        self._finished = threading.Condition(self._jobs_lock)
         self._ids = itertools.count(1)
         self._accepting = True
         self._threads: List[threading.Thread] = []
@@ -600,25 +594,19 @@ class JobService:
                 hit, payload = self.cache.get(job.cache_key)
                 digest = state.get("result_digest")
                 if hit and (digest is None or payload_digest(payload) == digest):
-                    job.state = DONE
                     job.cached = True
-                    job.result = payload
-                    now = time.time()
-                    job.started_at = job.started_at or now
-                    job.finished_at = now
+                    job.started_at = job.started_at or time.time()
+                    self._finish(job, DONE, result=payload)
                     report.completed += 1
                     report.results_recovered += 1
                 else:
                     report.results_missing += 1
                     orphans.append(job)
             elif terminal == "failed":
-                job.state = FAILED
-                job.error = state.get("error")
-                job.finished_at = time.time()
+                self._finish(job, FAILED, error=state.get("error"))
                 report.failed += 1
             elif terminal == "cancelled":
-                job.state = CANCELLED
-                job.finished_at = time.time()
+                self._finish(job, CANCELLED)
                 report.cancelled += 1
             else:  # queued / running: orphaned by the crash
                 orphans.append(job)
@@ -779,10 +767,8 @@ class JobService:
         hit, payload = self.cache.get(cache_key)
         if hit:
             job.cached = True
-            job.result = payload
-            job.state = DONE
-            now = time.time()
-            job.started_at = job.finished_at = now
+            self._finish(job, DONE, result=payload)
+            job.started_at = job.finished_at
             self._journal(
                 "finish", job, cached=True, result_digest=payload_digest(payload)
             )
@@ -838,9 +824,8 @@ class JobService:
         cancelled = False
         with self._jobs_lock:
             if job.state == QUEUED:
-                job.state = CANCELLED
                 job.attempt_token += 1
-                job.finished_at = time.time()
+                self._finish(job, CANCELLED)
                 cancelled = True
         if cancelled:
             self._journal("cancel", job, reason="client")
@@ -850,32 +835,41 @@ class JobService:
                 ).inc()
         return job
 
-    def wait(
-        self,
-        job_id: str,
-        timeout: float = 60.0,
-        poll_s: float = 0.005,
-        max_poll_s: float = 0.25,
-    ) -> Job:
+    def wait(self, job_id: str, timeout: float = 60.0) -> Job:
         """Block until the job finishes (in-process convenience).
 
-        Polls with exponential backoff from ``poll_s`` up to
-        ``max_poll_s`` instead of burning a fixed-rate busy loop.
+        Woken by the job's terminal transition itself, not by polling.
         """
-        deadline = time.monotonic() + timeout
-        interval = max(poll_s, 1e-4)
-        while True:
-            job = self.get(job_id)
-            if job.finished:
-                return job
-            now = time.monotonic()
-            if now >= deadline:
+        job = self.get(job_id)
+        with self._finished:
+            if not self._finished.wait_for(lambda: job.finished, timeout):
                 raise ServeError(
                     f"timed out after {timeout}s waiting for job {job_id}",
                     status=504,
                 )
-            time.sleep(min(interval, deadline - now))
-            interval = min(interval * 2.0, max_poll_s)
+        return job
+
+    def _finish(
+        self,
+        job: Job,
+        state: str,
+        result: Optional[dict] = None,
+        error: Optional[dict] = None,
+    ) -> None:
+        """The one terminal transition: state, ``finished_at``, wake-up.
+
+        Every path that ends a job comes through here, so :meth:`wait`
+        blocks on ``_finished`` instead of polling.
+        """
+        with self._finished:
+            job.state = state
+            if result is not None:
+                job.result = result
+            if error is not None:
+                job.error = error
+            job.lease_expires_at = None
+            job.finished_at = time.time()
+            self._finished.notify_all()
 
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
@@ -992,13 +986,9 @@ class JobService:
         with self._jobs_lock:
             if job.attempt_token == token and job.state == RUNNING:
                 if outcome == "done":
-                    job.result = payload
-                    job.state = DONE
+                    self._finish(job, DONE, result=payload)
                 else:
-                    job.error = error
-                    job.state = FAILED
-                job.lease_expires_at = None
-                job.finished_at = time.time()
+                    self._finish(job, FAILED, error=error)
                 applied = True
         if applied:
             with self._obs_lock:
@@ -1048,9 +1038,7 @@ class JobService:
             }
             with self._jobs_lock:
                 if job.attempt_token == token and job.state == QUEUED:
-                    job.error = error
-                    job.state = FAILED
-                    job.finished_at = time.time()
+                    self._finish(job, FAILED, error=error)
             self._journal("fail", job, error=error)
             with self._obs_lock:
                 self.recorder.counter(
@@ -1098,15 +1086,17 @@ class JobService:
                     job.last_transient_error = "lease expired"
                     requeue = True
                 else:
-                    job.error = _budget_exhausted_payload(
-                        LeaseExpiredError(
-                            f"job {job.id}: lease expired after "
-                            f"{job.attempts} attempt(s)"
+                    self._finish(
+                        job,
+                        FAILED,
+                        error=_budget_exhausted_payload(
+                            LeaseExpiredError(
+                                f"job {job.id}: lease expired after "
+                                f"{job.attempts} attempt(s)"
+                            ),
+                            job.attempts,
                         ),
-                        job.attempts,
                     )
-                    job.state = FAILED
-                    job.finished_at = time.time()
             reaped += 1
             with self._obs_lock:
                 self.recorder.counter("serve.leases.expired").inc()
@@ -1120,15 +1110,16 @@ class JobService:
                 try:
                     self._queue.put_nowait(job)
                 except queue.Full:
-                    with self._jobs_lock:
-                        job.error = _budget_exhausted_payload(
+                    self._finish(
+                        job,
+                        FAILED,
+                        error=_budget_exhausted_payload(
                             LeaseExpiredError(
                                 f"job {job.id}: lease expired and queue full"
                             ),
                             job.attempts,
-                        )
-                        job.state = FAILED
-                        job.finished_at = time.time()
+                        ),
+                    )
                     self._journal("fail", job, error=job.error)
                     with self._obs_lock:
                         self.recorder.counter(
@@ -1149,6 +1140,7 @@ class JobService:
             counts: Dict[str, int] = {state: 0 for state in STATES}
             for job in self._jobs.values():
                 counts[job.state] += 1
+        cache = self.cache.stats()
         payload = {
             "status": "ok" if self._accepting else "draining",
             "accepting": self._accepting,
@@ -1156,10 +1148,10 @@ class JobService:
             "queue_size": self.queue_size,
             "job_workers": self.job_workers,
             "jobs": counts,
-            "cache": self.cache.stats(),
+            "cache": cache,
         }
         if self.store is not None:
-            payload["durable"] = self.store.status()
+            payload["durable"] = {**self.store.status(), "cache": cache}
         if self.supervisor is not None:
             payload["supervisor"] = self.supervisor.status()
         return payload
@@ -1219,11 +1211,3 @@ class JobService:
             self._reaper = None
         if self.store is not None:
             self.store.close()
-
-
-class _LockedCache(ResultCache):
-    """ResultCache sharing the service's recorder lock for its counters."""
-
-    def __init__(self, capacity, metrics, lock) -> None:
-        super().__init__(capacity, metrics)
-        self._lock = lock

@@ -1,8 +1,8 @@
 """The persisted experiment store: every sweep point a verified blob.
 
-Layout (same idioms as :class:`repro.serve.durable.DiskResultCache` —
-atomic tempfile+fsync+rename writes, sha256-verified reads, quarantine
-instead of silently serving corruption)::
+Layout (the points are a :class:`repro.store.BlobStore`, so writes are
+atomic and reads verified, with quarantine instead of silently serving
+corruption)::
 
     store_dir/
         points/<key[:2]>/<key>.json     {"key", "sha256", "payload"}
@@ -20,25 +20,24 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
-from typing import Dict, List, Optional
+from typing import Dict
 
 from repro.errors import SweepError
-from repro.serve.cache import canonical_json
-from repro.serve.durable import payload_digest
+from repro.store import BlobStore, write_json_atomic
 
 
-class ExperimentStore:
-    """Durable, content-addressed sweep results under one directory."""
+class ExperimentStore(BlobStore):
+    """Durable, content-addressed sweep results under one directory.
+
+    The points are the inherited :class:`~repro.store.BlobStore`
+    (``points/``; a failed write raises :class:`~repro.errors.SweepError`).
+    This class adds the spec provenance and :meth:`status`.
+    """
 
     def __init__(self, root: str) -> None:
-        self.root = root
-        self.points_dir = os.path.join(root, "points")
-        self.quarantine_dir = os.path.join(root, "quarantine")
+        super().__init__(root, "points", SweepError)
         self.specs_dir = os.path.join(root, "specs")
         try:
-            os.makedirs(self.points_dir, exist_ok=True)
-            os.makedirs(self.quarantine_dir, exist_ok=True)
             os.makedirs(self.specs_dir, exist_ok=True)
         except OSError as exc:
             raise SweepError(
@@ -46,101 +45,12 @@ class ExperimentStore:
             ) from exc
 
     # ------------------------------------------------------------------
-    def _point_path(self, key: str) -> str:
-        return os.path.join(self.points_dir, key[:2], f"{key}.json")
-
-    def has(self, key: str) -> bool:
-        """Cheap existence probe (no integrity check — :meth:`get` does)."""
-        return os.path.exists(self._point_path(key))
-
-    def get(self, key: str) -> Optional[dict]:
-        """The verified payload, or ``None`` (missing or quarantined)."""
-        path = self._point_path(key)
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path, "r", encoding="utf-8", errors="replace") as fh:
-                wrapper = json.loads(fh.read())
-            payload = wrapper["payload"]
-            stored_digest = wrapper["sha256"]
-            stored_key = wrapper["key"]
-        except (OSError, json.JSONDecodeError, KeyError, TypeError):
-            self._quarantine(key)
-            return None
-        if stored_key != key or payload_digest(payload) != stored_digest:
-            self._quarantine(key)
-            return None
-        return payload
-
-    def put(self, key: str, payload: dict) -> None:
-        """Atomically persist one point (tempfile + fsync + rename)."""
-        path = self._point_path(key)
-        wrapper = {"key": key, "sha256": payload_digest(payload), "payload": payload}
-        directory = os.path.dirname(path)
-        try:
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(canonical_json(wrapper))
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        except OSError as exc:
-            raise SweepError(f"cannot write sweep point {path!r}: {exc}") from exc
-
-    def _quarantine(self, key: str) -> None:
-        path = self._point_path(key)
-        try:
-            os.replace(path, os.path.join(self.quarantine_dir, f"{key}.json"))
-        except OSError:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-
-    # ------------------------------------------------------------------
-    def keys(self) -> List[str]:
-        """Every stored point key (sorted)."""
-        keys: List[str] = []
-        for shard in sorted(os.listdir(self.points_dir)):
-            shard_dir = os.path.join(self.points_dir, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".json"):
-                    keys.append(name[: -len(".json")])
-        return keys
-
-    def __len__(self) -> int:
-        return len(self.keys())
-
-    def __contains__(self, key: str) -> bool:
-        return self.has(key)
-
-    # ------------------------------------------------------------------
     def record_spec(self, spec) -> str:
         """Journal a spec next to its points (idempotent; provenance)."""
         fingerprint = spec.fingerprint()
         path = os.path.join(self.specs_dir, f"{fingerprint}.json")
-        if os.path.exists(path):
-            return fingerprint
-        try:
-            fd, tmp = tempfile.mkstemp(dir=self.specs_dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(canonical_json(spec.to_dict()))
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        except OSError as exc:
-            raise SweepError(f"cannot record sweep spec {path!r}: {exc}") from exc
+        if not os.path.exists(path):
+            write_json_atomic(path, spec.to_dict(), SweepError)
         return fingerprint
 
     def specs(self) -> Dict[str, dict]:
@@ -158,23 +68,11 @@ class ExperimentStore:
                 continue
         return out
 
-    def verify(self) -> dict:
-        """Integrity-scan every point: ``{verified, quarantined}``."""
-        verified = quarantined = 0
-        for key in self.keys():
-            if self.get(key) is None:
-                quarantined += 1
-            else:
-                verified += 1
-        return {"verified": verified, "quarantined": quarantined}
-
     def status(self) -> dict:
         return {
             "root": self.root,
-            "points": len(self.keys()),
-            "quarantined": len(
-                [n for n in os.listdir(self.quarantine_dir) if n.endswith(".json")]
-            ),
+            "points": len(self),
+            "quarantined": len(self.quarantined()),
             "specs": len(
                 [n for n in os.listdir(self.specs_dir) if n.endswith(".json")]
             ),

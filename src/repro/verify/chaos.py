@@ -35,7 +35,7 @@ and asserts the three invariants of the crash-safe design:
    ``cached: true`` answer after the restart.
 
 Entry points: :func:`run_chaos_campaign` (subprocess orchestration,
-what ``repro chaos`` and CI's chaos-smoke run) and the pure state-dir
+what ``repro chaos`` and CI's serve-store-smoke job run) and the pure state-dir
 attack helpers :func:`truncate_journal` / :func:`corrupt_blob` /
 :func:`scan_state_dir`, which the unit tests drive directly.
 """
@@ -54,7 +54,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import ReproError, ServeError
 from repro.serve.client import ServeClient
-from repro.serve.durable import DurableStore, Journal, payload_digest
+from repro.serve.durable import DurableStore, Journal, payload_digest, result_blobs
 
 __all__ = [
     "ChaosReport",
@@ -110,16 +110,6 @@ def truncate_journal(
     return {"offset": offset, "torn_record": torn}
 
 
-def _blob_paths(state_dir: str) -> List[str]:
-    blob_dir = os.path.join(state_dir, "cache", "blobs")
-    paths = []
-    for root, _dirs, files in os.walk(blob_dir):
-        for name in sorted(files):
-            if name.endswith(".json"):
-                paths.append(os.path.join(root, name))
-    return sorted(paths)
-
-
 def corrupt_blob(
     state_dir: str,
     key: Optional[str] = None,
@@ -132,12 +122,14 @@ def corrupt_blob(
     cache holds no blobs to corrupt.
     """
     rng = rng or random.Random()
-    paths = _blob_paths(state_dir)
+    blobs = result_blobs(state_dir)
+    keys = blobs.keys()
     if key is not None:
-        paths = [p for p in paths if os.path.basename(p) == f"{key}.json"]
-    if not paths:
+        keys = [k for k in keys if k == key]
+    if not keys:
         raise ReproError(f"no cache blobs to corrupt under {state_dir!r}")
-    path = rng.choice(paths)
+    key = rng.choice(keys)
+    path = blobs.path(key)
     with open(path, "rb") as fh:
         raw = bytearray(fh.read())
     if not raw:
@@ -146,26 +138,18 @@ def corrupt_blob(
     raw[offset] ^= 0xFF
     with open(path, "wb") as fh:
         fh.write(raw)
-    return {
-        "key": os.path.basename(path)[: -len(".json")],
-        "path": path,
-        "offset": offset,
-    }
+    return {"key": key, "path": path, "offset": offset}
 
 
 def scan_state_dir(state_dir: str) -> dict:
     """Offline integrity scan of a state dir (no server involved)."""
     records, corrupt_lines = Journal.read(_journal_path(state_dir))
-    quarantine_dir = os.path.join(state_dir, "cache", "quarantine")
-    try:
-        quarantined = len(os.listdir(quarantine_dir))
-    except OSError:
-        quarantined = 0
+    blobs = result_blobs(state_dir)
     return {
         "journal_records": len(records),
         "corrupt_lines": corrupt_lines,
-        "blobs": len(_blob_paths(state_dir)),
-        "quarantined": quarantined,
+        "blobs": len(blobs),
+        "quarantined": len(blobs.quarantined()),
     }
 
 

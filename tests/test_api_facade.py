@@ -77,6 +77,23 @@ class TestSession:
         result = session.isolate(config=config)
         assert result.config.style == "or"
 
+    def test_run_config_applies_with_explicit_config(self):
+        run = api.RunConfig(cycles=300, engine="compiled", workers=1)
+        session = api.Session(designs.design1(), run=run)
+        config = api.IsolationConfig(style="and", workers=1)
+        results = [
+            session.optimize(config=config),
+            session.optimize(style="and"),
+            session.optimize(config=config, run=run),
+        ]
+        for result in results:
+            assert result.config.cycles == 300
+            assert result.config.warmup == run.warmup
+            assert result.config.engine == "compiled"
+            assert result.timings.engine == "compiled"
+        baselines = {result.baseline.power_mw for result in results}
+        assert len(baselines) == 1
+
 
 class TestLoadLoads:
     def test_loads_round_trip(self):

@@ -16,7 +16,8 @@ import os
 import pytest
 
 from repro.errors import ReproError
-from repro.serve import DiskResultCache, Journal
+from repro.serve import Journal, ResultCache
+from repro.serve.durable import result_blobs
 from repro.verify.chaos import (
     ChaosReport,
     corrupt_blob,
@@ -58,17 +59,16 @@ class TestTruncateJournal:
 
 class TestCorruptBlob:
     def test_flips_one_byte_and_the_cache_detects_it(self, tmp_path):
-        cache_root = str(tmp_path / "cache")
-        cache = DiskResultCache(cache_root, capacity=4)
+        cache = ResultCache(4, disk=result_blobs(str(tmp_path)))
         cache.put("feedface" * 8, {"value": 7})
-        before = open(cache._blob_path("feedface" * 8), "rb").read()
+        before = open(cache.disk.path("feedface" * 8), "rb").read()
         hit = corrupt_blob(str(tmp_path))
         assert hit["key"] == "feedface" * 8
         after = open(hit["path"], "rb").read()
         assert len(before) == len(after)
         assert sum(a != b for a, b in zip(before, after)) == 1
         # A fresh cache must detect the damage and refuse to serve it.
-        found, _ = DiskResultCache(cache_root, capacity=4).get("feedface" * 8)
+        found, _ = ResultCache(4, disk=result_blobs(str(tmp_path))).get("feedface" * 8)
         assert not found
         scan = scan_state_dir(str(tmp_path))
         assert scan["blobs"] == 0 and scan["quarantined"] == 1
@@ -84,9 +84,7 @@ class TestScan:
         state_dir = _state_dir_with_journal(
             tmp_path, [("submit", "j1"), ("finish", "j1")]
         )
-        DiskResultCache(os.path.join(state_dir, "cache"), capacity=4).put(
-            "abcd", {"v": 1}
-        )
+        ResultCache(4, disk=result_blobs(state_dir)).put("abcd", {"v": 1})
         scan = scan_state_dir(state_dir)
         assert scan == {
             "journal_records": 2,

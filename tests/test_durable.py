@@ -26,13 +26,14 @@ from repro.serve import (
     DONE,
     FAILED,
     QUEUED,
-    DiskResultCache,
     DurableStore,
     JobService,
     Journal,
+    ResultCache,
     payload_digest,
     replay_journal,
 )
+from repro.store import BlobStore
 
 RUN = {"cycles": 120, "engine": "compiled", "workers": 1}
 
@@ -131,23 +132,23 @@ class TestReplay:
 class TestDiskResultCache:
     def test_blob_survives_a_fresh_instance(self, tmp_path):
         root = str(tmp_path / "cache")
-        cache = DiskResultCache(root, capacity=4)
+        cache = ResultCache(4, disk=BlobStore(root))
         cache.put("k" * 16, {"value": 42})
-        reborn = DiskResultCache(root, capacity=4)  # cold memory tier
+        reborn = ResultCache(4, disk=BlobStore(root))  # cold memory tier
         hit, payload = reborn.get("k" * 16)
         assert hit and payload == {"value": 42}
         assert reborn._metrics.value("serve.cache.disk_hits") == 1
 
     def test_corrupt_blob_quarantined_and_missed(self, tmp_path):
         root = str(tmp_path / "cache")
-        cache = DiskResultCache(root, capacity=4)
+        cache = ResultCache(4, disk=BlobStore(root))
         key = "deadbeef" * 8
         cache.put(key, {"value": 1})
         blob = os.path.join(root, "blobs", key[:2], f"{key}.json")
         raw = bytearray(open(blob, "rb").read())
         raw[len(raw) // 2] ^= 0xFF
         open(blob, "wb").write(bytes(raw))
-        reborn = DiskResultCache(root, capacity=4)
+        reborn = ResultCache(4, disk=BlobStore(root))
         hit, payload = reborn.get(key)
         assert not hit and payload is None
         assert not os.path.exists(blob)  # moved out of the blob tree
@@ -158,23 +159,23 @@ class TestDiskResultCache:
     def test_key_mismatch_is_corruption(self, tmp_path):
         # A blob renamed to another key must not satisfy that key.
         root = str(tmp_path / "cache")
-        cache = DiskResultCache(root, capacity=4)
+        cache = ResultCache(4, disk=BlobStore(root))
         cache.put("aa11", {"value": 1})
         src = os.path.join(root, "blobs", "aa", "aa11.json")
         dst = os.path.join(root, "blobs", "bb")
         os.makedirs(dst, exist_ok=True)
         os.rename(src, os.path.join(dst, "bb22.json"))
-        hit, _ = DiskResultCache(root, capacity=4).get("bb22")
+        hit, _ = ResultCache(4, disk=BlobStore(root)).get("bb22")
         assert not hit
 
     def test_verify_scans_every_blob(self, tmp_path):
         root = str(tmp_path / "cache")
-        cache = DiskResultCache(root, capacity=4)
+        cache = ResultCache(4, disk=BlobStore(root))
         cache.put("aaaa", {"v": 1})
         cache.put("bbbb", {"v": 2})
         blob = os.path.join(root, "blobs", "aa", "aaaa.json")
         open(blob, "w").write("garbage")
-        assert cache.verify() == {"verified": 1, "quarantined": 1}
+        assert cache.disk.verify() == {"verified": 1, "quarantined": 1}
 
     def test_payload_digest_is_canonical(self):
         assert payload_digest({"b": 1, "a": 2}) == payload_digest({"a": 2, "b": 1})

@@ -11,6 +11,7 @@ from repro.core.algorithm import IsolationConfig, isolate_design
 from repro.core.explore import rank_candidates
 from repro.core.report import compare_styles
 from repro.errors import ReproError
+from repro.opt import optimize
 from repro.power import estimate_power
 from repro.runconfig import ENGINES, RunConfig, resolve_run_config
 from repro.sim.stimulus import random_stimulus
@@ -120,6 +121,20 @@ class TestEntryPointShims:
         assert result.config.cycles == 150
         assert result.config.engine == "compiled"
         assert result.timings.engine == "compiled"
+
+    def test_run_overrides_workers_too(self, d1):
+        def stim():
+            return random_stimulus(d1, seed=1)
+
+        config = IsolationConfig(cycles=999, workers=2)
+        run = RunConfig(cycles=120, engine="compiled", workers=1)
+        result = isolate_design(d1, stim, config, run=run)
+        assert (result.config.cycles, result.config.workers) == (120, 1)
+        comparison = compare_styles(d1, stim, config, styles=["and"], run=run)
+        assert comparison.results["and"].config.workers == 1
+        optimized = optimize(d1, stim, ["isolation"], config, run=run)
+        assert (optimized.config.cycles, optimized.config.workers) == (120, 1)
+        assert config.with_run(RunConfig(workers=3)).workers == 3
 
     def test_compare_styles_cycles_warns(self, fig1):
         def stim():

@@ -1,7 +1,12 @@
 """Tests for the power-savings model (paper Section 4)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.candidates import find_candidates
 from repro.core.savings import SavingsModel
 from repro.power.estimator import PowerEstimator
@@ -182,3 +187,40 @@ class TestOverhead:
             estimate.primary_mw + estimate.secondary_mw - estimate.overhead_mw
         )
         assert estimate.idle_probability == pytest.approx(0.8, abs=0.06)
+
+
+_DIGEST_SCRIPT = """
+from repro import api, designs
+from repro.sim.stimulus import random_stimulus
+from repro.serve.durable import payload_digest
+
+design = designs.alu_control_dominated()
+session = api.Session(
+    design,
+    stimulus=random_stimulus(design, seed=1124811946),
+    run=api.RunConfig(cycles=2000, seed=1124811946, engine="compiled", workers=1),
+)
+payload = session.optimize(passes=["isolation"], style="and").to_dict()
+payload.pop("timings")
+print(payload_digest(payload))
+"""
+
+
+def test_scores_do_not_depend_on_the_hash_seed():
+    """h(c) and net_mw — and so the payload digest the result stores
+    check — come out the same in every process, whatever the hash seed
+    that orders the activation function's support set."""
+    src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    digests = set()
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src_root)
+        completed = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+            check=True,
+        )
+        digests.add(completed.stdout.strip())
+    assert len(digests) == 1

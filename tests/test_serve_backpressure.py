@@ -8,17 +8,19 @@ The bounded-queue contract under real concurrent load:
   eventually lands every job;
 * every accepted job completes **exactly once** — no lost work, no
   double execution (attempts stay at 1, no retries recorded);
-* the poll loops back off exponentially instead of hammering.
+* the client poll loop backs off exponentially instead of hammering,
+  and the in-process ``JobService.wait`` is woken by completion.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.errors import QueueFullError
+from repro.errors import QueueFullError, ServeError
 from repro.serve import JobService, make_server
 from repro.serve.client import ServeClient
 from repro.serve.jobs import METHODS
@@ -168,41 +170,70 @@ class TestPollBackoff:
         # backoff (0.01 -> 0.02 -> ... -> capped 0.2) needs ~10.
         assert client.polls <= 15
 
-    def test_service_wait_backs_off(self):
+
+class TestServiceWait:
+    def test_wait_wakes_on_terminal_transition(self):
         service = JobService(queue_size=2, job_workers=1, start=False)
         try:
             job = service.submit("estimate", builtin="design1", run=RUN)
-            calls = []
-            original_sleep = time.sleep
-
-            def spy_sleep(seconds):
-                calls.append(seconds)
-                original_sleep(min(seconds, 0.01))
-
-            import repro.serve.jobs as jobs_module
-
-            real_time = jobs_module.time
-
-            class _SpyTime:
-                def __getattr__(self, name):
-                    return spy_sleep if name == "sleep" else getattr(real_time, name)
-
-            jobs_module.time = _SpyTime()
-            try:
-                with pytest.raises(Exception):
-                    service.wait(job.id, timeout=0.3, poll_s=0.01, max_poll_s=0.1)
-            finally:
-                jobs_module.time = real_time
-            # The requested intervals double from poll_s up to the cap
-            # and stay there. (The spy shortens the *actual* sleeps, so
-            # the loop runs extra iterations — assert shape, not count.
-            # Individual entries can be clipped by the deadline budget.)
-            assert calls, "wait() never slept"
-            assert calls[0] <= 0.01 + 1e-6
-            assert max(calls) <= 0.1 + 1e-6
-            assert 0.1 in [round(c, 6) for c in calls]  # cap reached
-            growth = calls[: calls.index(max(calls)) + 1]
-            assert sorted(growth) == growth  # doubled, never shrank
+            with pytest.raises(ServeError) as timed_out:
+                service.wait(job.id, timeout=0.05)
+            assert timed_out.value.status == 504
+            # A waiter blocked on a queued job is woken by its cancel —
+            # a terminal transition no worker thread makes.
+            returned = []
+            waiter = threading.Thread(
+                target=lambda: returned.append(service.wait(job.id, timeout=30.0)),
+                daemon=True,
+            )
+            waiter.start()
+            time.sleep(0.05)
+            service.cancel(job.id)
+            waiter.join(timeout=5.0)
+            assert not waiter.is_alive()
+            assert returned[0].state == "cancelled"
+            # ... and by a worker's finish once the service runs.
+            job = service.submit("estimate", builtin="design1", run=RUN)
+            service.start()
+            assert service.wait(job.id, timeout=120.0).state == "done"
         finally:
+            service.start()
+            service.shutdown()
+
+    def test_concurrent_waiters_and_shared_cache_lock(self):
+        # More worker and waiter threads than cores, switching often: a
+        # lost wake-up hangs a waiter, a lost counter update breaks the
+        # hit/miss total (the cache counts under the recorder's lock).
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        service = JobService(
+            queue_size=64, job_workers=4, cache_capacity=2, start=False
+        )
+        try:
+            runs = [{**RUN, "cycles": 40 + index % 6} for index in range(24)]
+            jobs = [service.submit("estimate", builtin="fig1", run=run) for run in runs]
+            states = []
+            waiters = [
+                threading.Thread(
+                    target=lambda chunk=jobs[index::8]: states.extend(
+                        service.wait(job.id, timeout=600.0).state for job in chunk
+                    ),
+                    daemon=True,
+                )
+                for index in range(8)
+            ]
+            for waiter in waiters:
+                waiter.start()
+            time.sleep(0.05)  # every waiter blocks on a queued job first
+            service.start()
+            deadline = time.monotonic() + 60.0  # far below the wait timeout
+            for waiter in waiters:
+                waiter.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert not any(waiter.is_alive() for waiter in waiters)
+            assert sorted(states) == ["done"] * len(jobs)
+            stats = service.cache.stats()
+            assert stats["hits"] + stats["misses"] == len(jobs)
+        finally:
+            sys.setswitchinterval(interval)
             service.start()
             service.shutdown()

@@ -149,7 +149,7 @@ class TestStore:
         store = ExperimentStore(str(tmp_path / "s"))
         key = "deadbeef" * 4
         store.put(key, {"x": 1})
-        path = store._point_path(key)
+        path = store.path(key)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write('{"key": "' + key + '", "sha256": "wrong", "payload": {"x": 2}}')
         assert store.get(key) is None
