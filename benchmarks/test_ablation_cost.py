@@ -15,9 +15,9 @@ Sweep shape asserted:
 
 import pytest
 
-from repro.core import IsolationConfig, isolate_design
 from repro.core.cost import CostWeights
 from repro.designs import design1
+from repro.opt import IsolationConfig, isolate_design
 from repro.sim import ControlStream, random_stimulus
 
 CYCLES = 1200

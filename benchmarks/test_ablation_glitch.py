@@ -12,8 +12,8 @@ points).
 
 import pytest
 
-from repro.core import IsolationConfig, isolate_design
 from repro.designs import design1
+from repro.opt import IsolationConfig, isolate_design
 from repro.power.estimator import PowerEstimator
 from repro.sim import ControlStream, random_stimulus
 from repro.sim.engine import Simulator

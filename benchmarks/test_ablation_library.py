@@ -20,8 +20,8 @@ import dataclasses
 
 import pytest
 
-from repro.core import IsolationConfig, isolate_design
 from repro.designs import design1
+from repro.opt import IsolationConfig, isolate_design
 from repro.power.library import CellParams, TechnologyLibrary, default_library
 from repro.sim import ControlStream, random_stimulus
 

@@ -18,8 +18,8 @@ control — and checks the baseline designs are unaffected:
 
 import pytest
 
-from repro.core import IsolationConfig, isolate_design
 from repro.designs import design1, design2, lookahead_pipeline
+from repro.opt import IsolationConfig, isolate_design
 from repro.sim import ControlStream, random_stimulus
 from repro.verify import check_observable_equivalence
 

@@ -16,8 +16,8 @@ latch advantage while its standing overhead remains.
 
 import pytest
 
-from repro.core import IsolationConfig, isolate_design
 from repro.designs import design1
+from repro.opt import IsolationConfig, isolate_design
 from repro.sim import ControlStream, random_stimulus
 
 CYCLES = 1500

@@ -17,8 +17,8 @@ This benchmark regenerates the full grid and asserts the shape:
 
 import pytest
 
-from repro.core import IsolationConfig, isolate_design
 from repro.designs import design1
+from repro.opt import IsolationConfig, isolate_design
 from repro.sim import ControlStream, random_stimulus
 
 CYCLES = 1500

@@ -24,9 +24,10 @@ from repro.baselines import (
     guarded_evaluation,
     manual_mux_isolation,
 )
-from repro.core import IsolationConfig, isolate_design
 from repro.designs import design1, design2, fir_datapath, shared_bus_datapath
+from repro.opt import IsolationConfig, isolate_design
 from repro.power import estimate_power
+from repro.runconfig import RunConfig
 from repro.sim import ControlStream, random_stimulus
 
 CYCLES = 1500
@@ -50,7 +51,9 @@ def run_comparison():
                 target, seed=17, control_probability=0.3, overrides=overrides or None
             )
 
-        base = estimate_power(design, stimulus(), CYCLES).total_power_mw
+        base = estimate_power(
+            design, stimulus(), run=RunConfig(cycles=CYCLES)
+        ).total_power_mw
         # The automated flow may pick either style; the baselines use
         # latch-style hold elements, so give our row the better of the
         # gate and latch runs (what a deployment would ship).
@@ -69,7 +72,9 @@ def run_comparison():
         }
         reductions = {"ours": 1 - ours / base}
         for label, variant in variants.items():
-            power = estimate_power(variant, stimulus(variant), CYCLES).total_power_mw
+            power = estimate_power(
+                variant, stimulus(variant), run=RunConfig(cycles=CYCLES)
+            ).total_power_mw
             reductions[label] = 1 - power / base
         rows.append((name, base, reductions))
     return rows

@@ -11,9 +11,9 @@ secondary effects.
 
 import pytest
 
-from repro.core import IsolationConfig, isolate_design
 from repro.core.oracle import potential_savings
 from repro.designs import design1, design2, fir_datapath, shared_bus_datapath
+from repro.opt import IsolationConfig, isolate_design
 from repro.sim import ControlStream, random_stimulus
 
 CYCLES = 1500

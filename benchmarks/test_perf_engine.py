@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import time
 
-from repro.core.algorithm import IsolationConfig, isolate_design
 from repro.designs import design1
+from repro.opt import IsolationConfig, isolate_design
 from repro.sim.compile import CompiledSimulator, program_cache
 from repro.sim.engine import Simulator
 from repro.sim.monitor import ToggleMonitor
@@ -85,8 +85,8 @@ def test_isolate_design_speedup(record):
     assert result_py.isolated_names == result_c.isolated_names
     assert result_py.baseline.power_mw == result_c.baseline.power_mw
     assert result_py.final.power_mw == result_c.final.power_mw
-    assert [r.isolated for r in result_py.iterations] == [
-        r.isolated for r in result_c.iterations
+    assert [[t.target for t in r.applied] for r in result_py.iterations] == [
+        [t.target for t in r.applied] for r in result_c.iterations
     ]
 
     t = result_c.timings

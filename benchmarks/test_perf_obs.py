@@ -25,8 +25,8 @@ import statistics
 import time
 
 from repro import obs
-from repro.core.algorithm import IsolationConfig, isolate_design
 from repro.designs import soc_datapath
+from repro.opt import IsolationConfig, isolate_design
 from repro.sim.stimulus import random_stimulus
 
 CYCLES = 300

@@ -11,7 +11,7 @@ standing clock energy — disjoint components of the same total.
 
 import pytest
 
-from repro.core import IsolationConfig
+from repro.opt import IsolationConfig
 from repro.designs import soc_datapath
 from repro.opt import optimize
 from repro.sim import ControlStream, random_stimulus

@@ -12,7 +12,7 @@ design and records the paper-style table EXPERIMENTS.md quotes.
 import pytest
 
 import repro.designs as designs
-from repro.core import IsolationConfig
+from repro.opt import IsolationConfig
 from repro.opt import optimize
 from repro.sim import random_stimulus
 

@@ -9,8 +9,8 @@ timing, and observable equivalence.
 
 import pytest
 
-from repro.core import IsolationConfig, isolate_design
 from repro.designs import soc_datapath
+from repro.opt import IsolationConfig, isolate_design
 from repro.sim import ControlStream, random_stimulus
 from repro.verify import check_observable_equivalence
 

@@ -13,8 +13,9 @@ timing is met after isolation.
 import pytest
 
 
-from repro.core import IsolationConfig, compare_styles, format_comparison_table
+from repro.core import compare_styles, format_comparison_table
 from repro.designs import design1
+from repro.opt import IsolationConfig
 from repro.sim import ControlStream, random_stimulus
 
 CYCLES = 2000

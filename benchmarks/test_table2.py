@@ -19,8 +19,9 @@ the gate styles need "several consecutive idle cycles" to win.
 import pytest
 
 
-from repro.core import IsolationConfig, compare_styles, format_comparison_table
+from repro.core import compare_styles, format_comparison_table
 from repro.designs import design2
+from repro.opt import IsolationConfig
 from repro.sim import random_stimulus
 
 CYCLES = 2000
@@ -64,7 +65,7 @@ def test_table2_design2(benchmark, record):
     # run may isolate fewer candidates, so normalise by gated bits).
     def area_per_bit(style):
         result = comparison.results[style]
-        bits = sum(inst.gated_bits for inst in result.instances)
+        bits = sum(t.instance.gated_bits for t in result.transforms)
         return (result.final.area - result.baseline.area) / max(1, bits)
 
     assert area_per_bit("latch") > area_per_bit("and")

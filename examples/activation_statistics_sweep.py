@@ -11,8 +11,8 @@ rates of the activation signal", observing average reductions between
 Run:  python examples/activation_statistics_sweep.py
 """
 
-from repro.core import IsolationConfig, isolate_design
 from repro.designs import design1
+from repro.opt import IsolationConfig, isolate_design
 from repro.sim import ControlStream, random_stimulus
 
 

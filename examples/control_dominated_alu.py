@@ -14,13 +14,9 @@ action) and the final Table-1-style comparison.
 Run:  python examples/control_dominated_alu.py
 """
 
-from repro.core import (
-    IsolationConfig,
-    compare_styles,
-    format_comparison_table,
-    isolate_design,
-)
+from repro.core import compare_styles, format_comparison_table
 from repro.designs import alu_control_dominated
+from repro.opt import IsolationConfig, isolate_design
 from repro.sim import ControlStream, random_stimulus
 from repro.verify import assert_observable_equivalence
 
@@ -44,7 +40,7 @@ def main() -> None:
     print("Iteration log (style=and):")
     for record in result.iterations:
         print(f"  iteration {record.index}: measured {record.total_power_mw:.3f} mW")
-        for score in record.scores:
+        for score in record.scores.get("isolation", []):
             s = score.savings
             print(
                 f"    {score.candidate.name:<10} h={score.h:+.4f} "
@@ -52,8 +48,9 @@ def main() -> None:
                 f"ΔPp={s.primary_mw:.4f} ΔPs={s.secondary_mw:.4f} "
                 f"Pi={s.overhead_mw:.4f} mW"
             )
-        if record.isolated:
-            print(f"    -> isolated: {', '.join(record.isolated)}")
+        isolated = [t.target for t in record.applied]
+        if isolated:
+            print(f"    -> isolated: {', '.join(isolated)}")
     print()
     print(result.summary())
     assert_observable_equivalence(design, result.design, stimulus(), 2000)

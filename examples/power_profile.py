@@ -14,8 +14,8 @@ fraction of it during idle.
 Run:  python examples/power_profile.py
 """
 
-from repro.core import IsolationConfig, isolate_design
 from repro.designs import design1
+from repro.opt import IsolationConfig, isolate_design
 from repro.power.profile import PowerProfileMonitor
 from repro.sim import ControlStream, NetTrace, random_stimulus
 from repro.sim.engine import Simulator

@@ -15,9 +15,10 @@ Run:  python examples/quickstart.py
 """
 
 from repro.boolean import BddManager, and_, not_, or_, var
-from repro.core import IsolationConfig, derive_activation_functions, isolate_design
+from repro.core import derive_activation_functions
 from repro.designs import paper_example
 from repro.netlist.verilog import to_verilog
+from repro.opt import IsolationConfig, isolate_design
 from repro.sim import ControlStream, random_stimulus
 from repro.verify import assert_observable_equivalence
 

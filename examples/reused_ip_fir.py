@@ -16,9 +16,10 @@ Run:  python examples/reused_ip_fir.py
 """
 
 from repro.baselines import enable_gating, guarded_evaluation, manual_mux_isolation
-from repro.core import IsolationConfig, isolate_design
 from repro.designs import fir_datapath
+from repro.opt import IsolationConfig, isolate_design
 from repro.power import estimate_power
+from repro.runconfig import RunConfig
 from repro.sim import ControlStream, random_stimulus
 from repro.verify import assert_observable_equivalence
 
@@ -42,7 +43,9 @@ def main() -> None:
 
     for duty in (0.0, 0.5, 0.8, 0.95):
         stimulus = lambda: make_stimulus(design, duty)
-        base = estimate_power(design, stimulus(), CYCLES).total_power_mw
+        base = estimate_power(
+            design, stimulus(), run=RunConfig(cycles=CYCLES)
+        ).total_power_mw
 
         result = isolate_design(
             design, stimulus, IsolationConfig(style="and", cycles=1500)
@@ -52,7 +55,9 @@ def main() -> None:
         rows = [result.final.power_mw]
         for transform in (manual_mux_isolation, guarded_evaluation, enable_gating):
             variant = transform(design).design
-            rows.append(estimate_power(variant, stimulus(), CYCLES).total_power_mw)
+            rows.append(estimate_power(
+                variant, stimulus(), run=RunConfig(cycles=CYCLES)).total_power_mw
+            )
 
         iso, man, grd, kap = rows
         print(

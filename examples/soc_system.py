@@ -12,8 +12,8 @@ Run:  python examples/soc_system.py
 
 from collections import defaultdict
 
-from repro.core import IsolationConfig, isolate_design
 from repro.designs import soc_datapath
+from repro.opt import IsolationConfig, isolate_design
 from repro.power import PowerEstimator
 from repro.sim import ControlStream, random_stimulus
 from repro.sim.engine import Simulator
@@ -74,8 +74,9 @@ def main() -> None:
 
     print("Iteration log:")
     for record in result.iterations:
-        if record.isolated:
-            print(f"  iteration {record.index}: isolated {', '.join(record.isolated)}")
+        isolated = [t.target for t in record.applied]
+        if isolated:
+            print(f"  iteration {record.index}: isolated {', '.join(isolated)}")
     print()
     print(result.summary())
 

@@ -16,9 +16,11 @@ three on the FSM-controlled design2:
 Run:  python examples/what_if_analysis.py
 """
 
-from repro.core import IsolationConfig, format_ranking, isolate_design, rank_candidates
+from repro.core import format_ranking, rank_candidates
 from repro.core.oracle import potential_savings
 from repro.designs import design2
+from repro.opt import IsolationConfig, isolate_design
+from repro.runconfig import RunConfig
 from repro.sim import random_stimulus
 
 CYCLES = 2000
@@ -43,7 +45,7 @@ def main() -> None:
     print()
 
     # --- 2. The ranked what-if table --------------------------------------
-    ranked = rank_candidates(design, stimulus(), cycles=CYCLES)
+    ranked = rank_candidates(design, stimulus(), run=RunConfig(cycles=CYCLES))
     print(format_ranking(ranked))
     print()
 

@@ -18,7 +18,7 @@ or any generator in :mod:`repro.designs`. When no stimulus is given, a
 fresh :func:`~repro.sim.stimulus.random_stimulus` with the session's
 seed is built per run, so repeated calls see identical statistics.
 
-The deep import paths (``repro.core.isolate_design``,
+The deep import paths (``repro.opt.isolate_design``,
 ``repro.power.estimate_power``, ...) keep working; this module only
 bundles them. See ``docs/api.md`` for the full facade map.
 """
@@ -30,12 +30,6 @@ import copy
 from typing import List, Optional
 
 from repro import obs
-from repro.core.algorithm import (
-    IsolationConfig,
-    IsolationResult,
-    StageTimings,
-    isolate_design,
-)
 from repro.core.activation import ActivationAnalysis, derive_activation_functions
 from repro.core.cost import CostWeights
 from repro.core.explore import RankedCandidate, format_ranking, rank_candidates
@@ -48,7 +42,14 @@ from repro.diagnostics import Diagnostic
 from repro.netlist import textio
 from repro.netlist.design import Design
 from repro.netlist.validate import validation_problems
-from repro.opt import OptimizeResult, available_passes, optimize
+from repro.opt import (
+    IsolationConfig,
+    OptimizeResult,
+    StageTimings,
+    available_passes,
+    isolate_design,
+    optimize,
+)
 from repro.power.estimator import (
     PowerBreakdown,
     PowerInterval,
@@ -69,7 +70,7 @@ class Session:
     ----------
     design:
         The design under analysis (never modified; transforms work on
-        copies, as in :func:`~repro.core.algorithm.isolate_design`).
+        copies, as in :func:`~repro.opt.optimize`).
     stimulus:
         A stimulus object (deep-copied per run so every run sees
         identical statistics), a zero-argument factory returning a fresh
@@ -139,8 +140,8 @@ class Session:
         return copy.deepcopy(self._stimulus)
 
     def _stimulus_source(self, run: Optional[RunConfig]):
-        # isolate_design/compare_styles re-pull the stimulus per
-        # estimation run themselves; hand them a factory.
+        # optimize/compare_styles re-pull the stimulus per estimation
+        # run themselves; hand them a factory.
         return lambda: self.stimulus(run)
 
     def _config(
@@ -220,7 +221,7 @@ class Session:
         :func:`repro.opt.available_passes`) competing under one shared
         ``CostWeights``/``h_min`` budget; the default applies operand
         isolation and register clock gating jointly.
-        :meth:`isolate` is the legacy single-pass spelling.
+        :meth:`isolate` is the isolation-only preset.
         """
         with self._recording(run):
             return optimize(
@@ -236,19 +237,11 @@ class Session:
         style: Optional[str] = None,
         config: Optional[IsolationConfig] = None,
         run: Optional[RunConfig] = None,
-    ) -> IsolationResult:
-        """Run Algorithm 1; returns the full :class:`IsolationResult`.
-
-        Legacy spelling of :meth:`optimize` with the isolation pass
-        alone — same loop, bit-identical result, narrower report.
-        """
-        with self._recording(run):
-            return isolate_design(
-                self.design,
-                self._stimulus_source(run),
-                self._config(config, style, run),
-                self.library,
-            )
+    ) -> OptimizeResult:
+        """Run Algorithm 1: :meth:`optimize` with ``passes=["isolation"]``."""
+        return self.optimize(
+            passes=("isolation",), style=style, config=config, run=run
+        )
 
     def rank(
         self,
@@ -382,7 +375,6 @@ __all__ = [
     "RunConfig",
     "ENGINES",
     "IsolationConfig",
-    "IsolationResult",
     "OptimizeResult",
     "StageTimings",
     "CostWeights",

@@ -19,12 +19,10 @@ register holds its value either way — so no equivalence question arises.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro import obs
-from repro.core.algorithm import StageTimings
 from repro.errors import ReproError
 from repro.netlist.design import Design
 
@@ -36,7 +34,6 @@ class ClockGatingResult:
     design: Design
     gated_registers: List[str] = field(default_factory=list)
     skipped_free_running: List[str] = field(default_factory=list)
-    timings: StageTimings = field(default_factory=StageTimings)
 
 
 def clock_gate_registers(
@@ -58,7 +55,6 @@ def clock_gate_registers(
     i.e. exactly the paper's machinery (see
     :class:`repro.opt.gating.ClockGatingPass`).
     """
-    start = time.perf_counter()
     working = design if in_place else design.copy(f"{design.name}_cg")
     wanted = set(registers) if registers is not None else None
     result = ClockGatingResult(design=working)
@@ -91,5 +87,4 @@ def clock_gate_registers(
             gated=len(result.gated_registers),
             skipped=len(result.skipped_free_running),
         )
-    result.timings.transform_s = time.perf_counter() - start
     return result

@@ -33,7 +33,7 @@ from repro.netlist.logic import Mux
 
 
 @dataclass
-class ManualIsolationResult:
+class ManualIsolation:
     """Transformed design plus the applied instances."""
 
     design: Design
@@ -44,10 +44,10 @@ class ManualIsolationResult:
         return [inst.candidate.name for inst in self.instances]
 
 
-def manual_mux_isolation(design: Design, style: str = "and") -> ManualIsolationResult:
+def manual_mux_isolation(design: Design, style: str = "and") -> ManualIsolation:
     """Apply the local mux-select isolation rule to a copy of ``design``."""
     working = design.copy(f"{design.name}_manual")
-    result = ManualIsolationResult(design=working)
+    result = ManualIsolation(design=working)
     for module in sorted(working.datapath_modules, key=lambda c: c.name):
         out_net = module.net("Y")
         conditions: List[Expr] = []

@@ -10,9 +10,8 @@ Subcommands
     report. Select passes with ``--passes isolation,clock_gating``.
 
 ``isolate``
-    Legacy spelling of ``optimize --passes isolation``: run the full
-    Algorithm-1 flow on a design and write the isolated netlist
-    (textual format and/or Verilog) plus a summary report.
+    ``optimize --passes isolation``: the paper's Algorithm 1 alone, with
+    the same output (summary or ``--json`` payload, netlist, Verilog).
 
 ``report``
     Estimate power / area / timing of a design under a random stimulus
@@ -32,9 +31,9 @@ Subcommands
     fails on any silent fault.
 
 ``profile``
-    Run the full isolation flow under the tracer and print a per-span
-    time rollup; combine with ``--trace FILE`` for a Perfetto-loadable
-    Chrome trace.
+    Run the optimizer (``--passes``, isolation by default) under the
+    tracer and print a per-span time rollup; combine with ``--trace
+    FILE`` for a Perfetto-loadable Chrome trace.
 
 ``serve``
     Run the HTTP job service (:mod:`repro.serve`): asynchronous jobs
@@ -85,17 +84,16 @@ from typing import Dict, List, Optional
 
 from repro import obs
 from repro.core import (
-    IsolationConfig,
     compare_styles,
     derive_activation_functions,
     format_comparison_table,
-    isolate_design,
 )
 from repro.core.cost import CostWeights
 from repro.errors import ReproError
 from repro.netlist import textio
 from repro.netlist.design import Design
 from repro.netlist.verilog import to_verilog
+from repro.opt import IsolationConfig, available_passes, optimize
 from repro.power import estimate_power, format_power_report
 from repro.power.library import default_library
 from repro.runconfig import ENGINES, RunConfig
@@ -289,8 +287,6 @@ def _add_isolation_options(parser: argparse.ArgumentParser) -> None:
 
 def _parse_passes(value: str) -> List[str]:
     """``--passes`` argument: comma-separated registered pass names."""
-    from repro.opt import available_passes
-
     names = [part.strip() for part in value.split(",") if part.strip()]
     known = available_passes()
     bad = [name for name in names if name not in known]
@@ -321,15 +317,13 @@ def _config_from(args: argparse.Namespace) -> IsolationConfig:
     )
 
 
-def _finish_transform(
-    args: argparse.Namespace,
-    design: Design,
-    stimulus,
-    result,
-    payload: dict,
-) -> int:
-    """Shared back half of ``optimize``/``isolate``: summary, optional
-    equivalence check, netlist/Verilog export, JSON emission."""
+def cmd_optimize(args: argparse.Namespace) -> int:
+    """``optimize`` and ``isolate``: summary, optional equivalence check,
+    netlist/Verilog export, JSON emission."""
+    design = _load_design(args)
+    stimulus = _stimulus_factory(design, args)
+    result = optimize(design, stimulus, passes=args.passes, config=_config_from(args))
+    payload = result.to_dict()
     if not args.json:
         print(result.summary())
     if args.verify_cycles:
@@ -361,24 +355,6 @@ def _finish_transform(
         _info(args, f"Verilog written to {args.verilog}")
     emit(payload, args)
     return 0
-
-
-def cmd_optimize(args: argparse.Namespace) -> int:
-    from repro.opt import optimize
-
-    design = _load_design(args)
-    stimulus = _stimulus_factory(design, args)
-    result = optimize(design, stimulus, passes=args.passes, config=_config_from(args))
-    return _finish_transform(args, design, stimulus, result, result.to_dict())
-
-
-def cmd_isolate(args: argparse.Namespace) -> int:
-    # Delegates to the optimize flow: isolate_design itself is the
-    # passes=["isolation"] shim, keeping the legacy payload/summary shape.
-    design = _load_design(args)
-    stimulus = _stimulus_factory(design, args)
-    result = isolate_design(design, stimulus, _config_from(args))
-    return _finish_transform(args, design, stimulus, result, result.to_dict())
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -547,17 +523,8 @@ def cmd_activation(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     design = _load_design(args)
     stimulus = _stimulus_factory(design, args)
-    if args.passes == ["isolation"]:
-        # Legacy span layout (root "isolate") for the default pass list.
-        result = isolate_design(design, stimulus, _config_from(args))
-        transformed = result.isolated_names
-    else:
-        from repro.opt import optimize
-
-        result = optimize(
-            design, stimulus, passes=args.passes, config=_config_from(args)
-        )
-        transformed = [t.target for t in result.transforms]
+    result = optimize(design, stimulus, passes=args.passes, config=_config_from(args))
+    transformed = [t.target for t in result.transforms]
     recorder = obs.current()
     rollup = obs.aggregate_spans(recorder.tracer.roots)
     if args.json:
@@ -714,8 +681,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
             result = job["result"]
             if "total_power_mw" in result:
                 print(f"  total power: {result['total_power_mw']:.4f} mW")
-            if "isolated" in result:
-                print(f"  isolated: {result['isolated']}")
             if "applied" in result:
                 applied = [f"{t['pass']}:{t['target']}" for t in result["applied"]]
                 print(f"  applied: {applied}")
@@ -869,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     isolate = subparsers.add_parser(
         "isolate",
-        help="run the isolation algorithm (legacy: optimize --passes isolation)",
+        help="run the isolation algorithm (optimize --passes isolation)",
     )
     _add_common(isolate)
     _add_isolation_options(isolate)
@@ -879,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify-cycles", type=int, default=2000,
         help="co-simulation equivalence check length (0 to skip)",
     )
-    isolate.set_defaults(func=cmd_isolate, out_noun="isolated")
+    isolate.set_defaults(func=cmd_optimize, passes=["isolation"], out_noun="isolated")
 
     report = subparsers.add_parser("report", help="power/area/timing report")
     _add_common(report)
@@ -894,7 +859,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="P1,P2",
         help="run the full pass pipeline per style and add a per-pass "
-        "savings column (default: isolation only, legacy table)",
+        "savings column (default: isolation only, the paper's table)",
     )
     compare.set_defaults(func=cmd_compare)
 

@@ -1,6 +1,6 @@
 """The paper's contribution: automated RT-level operand isolation.
 
-Pipeline (one call does it all — :func:`~repro.core.algorithm.isolate_design`):
+Pipeline (one call runs it all — :func:`repro.opt.isolate_design`):
 
 1. :mod:`~repro.core.activation` derives an activation function per
    datapath module by structural observability analysis (Section 3);
@@ -13,8 +13,10 @@ Pipeline (one call does it all — :func:`~repro.core.algorithm.isolate_design`)
    ω_a·rA`` and slack rejection (Section 5.1);
 5. :mod:`~repro.core.isolate` rewrites the netlist with AND/OR/LAT
    isolation banks and synthesized activation logic (Section 5.2);
-6. :mod:`~repro.core.algorithm` iterates 2–5 per combinational block
-   until no candidate clears ``h_min`` (Algorithm 1).
+6. :mod:`repro.opt` iterates 2–5 per combinational block until no
+   candidate clears ``h_min`` (Algorithm 1); it owns the loop, its
+   configuration and its result, and imports this package — never the
+   other way round at module level.
 """
 
 from repro.core.activation import (
@@ -31,13 +33,6 @@ from repro.core.candidates import (
 from repro.core.savings import SavingsEstimate, SavingsModel
 from repro.core.cost import CostModel, CostWeights
 from repro.core.isolate import IsolationInstance, IsolationStyle, isolate_candidate
-from repro.core.algorithm import (
-    IsolationConfig,
-    IsolationResult,
-    IterationRecord,
-    StageTimings,
-    isolate_design,
-)
 from repro.core.report import StyleComparison, compare_styles, format_comparison_table
 from repro.core.explore import RankedCandidate, format_ranking, rank_candidates
 from repro.core.lookahead import derive_with_lookahead
@@ -57,11 +52,6 @@ __all__ = [
     "IsolationStyle",
     "IsolationInstance",
     "isolate_candidate",
-    "IsolationConfig",
-    "IsolationResult",
-    "IterationRecord",
-    "StageTimings",
-    "isolate_design",
     "StyleComparison",
     "compare_styles",
     "format_comparison_table",

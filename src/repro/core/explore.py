@@ -4,8 +4,8 @@
 simulation with probes, savings estimation, cost evaluation, slack
 impact — and returns every candidate's numbers, ranked by ``h(c)``.
 Useful for floorplanning an isolation campaign, for reports, and for the
-CLI's ``rank`` subcommand; :func:`repro.core.algorithm.isolate_design`
-is the committing counterpart.
+CLI's ``rank`` subcommand; :func:`repro.opt.isolate_design` is the
+committing counterpart.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.core.savings import SavingsModel
 from repro.netlist.design import Design
 from repro.power.estimator import PowerEstimator
 from repro.power.library import TechnologyLibrary, default_library
-from repro.runconfig import RunConfig, resolve_run_config
+from repro.runconfig import RunConfig
 from repro.sim.engine import Simulator, make_simulator
 from repro.sim.monitor import ToggleMonitor
 from repro.sim.stimulus import Stimulus
@@ -105,29 +105,22 @@ def rank_candidates(
     design: Design,
     stimulus: Stimulus,
     style: str = "and",
-    cycles: Optional[int] = None,
+    *,
     weights: Optional[CostWeights] = None,
     library: Optional[TechnologyLibrary] = None,
     clock_period: Optional[float] = None,
     lookahead_depth: int = 0,
     run: Optional[RunConfig] = None,
-    engine: Optional[str] = None,
 ) -> List[RankedCandidate]:
     """Assess every candidate of ``design`` under ``stimulus``.
 
     Returns candidates sorted by descending ``h(c)``. The design is not
     modified. Run control comes from ``run=RunConfig(...)`` (including
     ``workers`` — per-candidate assessments go to the process pool, with
-    results identical to the serial loop); the first-class ``engine=``
-    override and the deprecated bare ``cycles=`` alias still work.
+    results identical to the serial loop), else the :class:`RunConfig`
+    defaults.
     """
-    cfg = resolve_run_config(
-        run,
-        defaults=RunConfig(cycles=2000, warmup=16),
-        stacklevel=3,
-        engine=engine,
-        cycles=cycles,
-    )
+    cfg = run or RunConfig()
     library = library or default_library()
     weights = weights or CostWeights()
 

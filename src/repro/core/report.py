@@ -1,32 +1,29 @@
 """Result tables in the format of the paper's Tables 1 and 2.
 
-:func:`compare_styles` runs the full Algorithm-1 flow once per isolation
-style on the same design/stimulus and collects a
-:class:`StyleComparison`: power, area and worst slack for the
-non-isolated design and each isolated variant, with the percentage
-deltas the paper reports.
+:func:`compare_styles` runs the optimizer (:func:`repro.opt.optimize`,
+isolation alone by default) once per isolation style on the same
+design/stimulus and collects a :class:`StyleComparison`: power, area and
+worst slack for the non-isolated design and each isolated variant, with
+the percentage deltas the paper reports.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.core.algorithm import (
-    IsolationConfig,
-    IsolationResult,
-    StimulusSource,
-    _stimulus_of,
-    isolate_design,
-)
 from repro.netlist.design import Design
 from repro.power.library import TechnologyLibrary, default_library
-from repro.runconfig import RunConfig, resolve_run_config
+from repro.runconfig import RunConfig
+
+if TYPE_CHECKING:  # repro.opt imports repro.core: no module-level import back
+    from repro.opt import IsolationConfig, OptimizeResult
+    from repro.opt.framework import StimulusSource
 
 #: Row order of the paper's tables.
 STYLE_ROWS = ("non-isolated", "AND-isolated", "OR-isolated", "LAT-isolated")
-_STYLE_OF_ROW = {"AND-isolated": "and", "OR-isolated": "or", "LAT-isolated": "latch"}
+_ROW_OF_STYLE = {"and": "AND-isolated", "or": "OR-isolated", "latch": "LAT-isolated"}
 
 
 @dataclass
@@ -34,7 +31,8 @@ class StyleRow:
     """One row: absolute metrics plus deltas vs the non-isolated design.
 
     ``pass_savings`` (pass name -> estimated net mW) is populated only
-    by multi-pass comparisons (``compare_styles(..., passes=[...])``).
+    by comparisons given an explicit pass list
+    (``compare_styles(..., passes=[...])``).
     """
 
     label: str
@@ -53,10 +51,8 @@ class StyleComparison:
 
     design_name: str
     rows: List[StyleRow] = field(default_factory=list)
-    results: Dict[str, IsolationResult] = field(default_factory=dict)
-    #: Full optimizer results, keyed by style — populated only when the
-    #: comparison ran with an explicit pass list.
-    pass_results: Dict[str, "object"] = field(default_factory=dict)
+    #: The optimizer result behind each isolated row, keyed by style.
+    results: Dict[str, "OptimizeResult"] = field(default_factory=dict)
 
     def row(self, label: str) -> StyleRow:
         for row in self.rows:
@@ -67,97 +63,65 @@ class StyleComparison:
 
 def compare_styles(
     design: Design,
-    stimulus: StimulusSource,
-    config: Optional[IsolationConfig] = None,
+    stimulus: "StimulusSource",
+    config: Optional["IsolationConfig"] = None,
     library: Optional[TechnologyLibrary] = None,
     styles: Optional[List[str]] = None,
     run: Optional[RunConfig] = None,
-    cycles: Optional[int] = None,
-    warmup: Optional[int] = None,
-    engine: Optional[str] = None,
-    passes: Optional[List[str]] = None,
+    *,
+    passes: Optional[Sequence[str]] = None,
 ) -> StyleComparison:
-    """Run isolation once per style and tabulate paper-style rows.
+    """Run the optimizer once per style and tabulate paper-style rows.
 
     Run control (``cycles``, ``warmup``, ``engine``, ``workers``) lives
-    on ``config``; ``run=RunConfig(...)`` and ``engine=`` override it,
-    and bare ``cycles=``/``warmup=`` are deprecated aliases.
-
-    With ``passes=["isolation", "clock_gating"]`` each style row runs
-    the full :func:`repro.opt.optimize` pass pipeline instead of
-    isolation alone; rows then carry per-pass estimated savings in
-    :attr:`StyleRow.pass_savings` and the comparison keeps the full
-    :class:`~repro.opt.OptimizeResult` per style in ``pass_results``.
+    on ``config``; ``run=RunConfig(...)`` overrides it. Every style row
+    is one :func:`repro.opt.optimize` run with ``passes`` (default
+    ``["isolation"]``, the paper's Algorithm 1). Given explicitly — e.g.
+    ``passes=["isolation", "clock_gating"]`` — rows also carry per-pass
+    estimated savings in :attr:`StyleRow.pass_savings`.
     """
+    from repro.opt.framework import IsolationConfig, _stimulus_of
+    from repro.parallel.pool import WorkerPool
+    from repro.parallel.scoring import optimize_styles
+
     base_config = config or IsolationConfig()
-    if run is not None or engine is not None or cycles is not None or warmup is not None:
-        cfg = resolve_run_config(
-            run,
-            defaults=base_config.run_config(),
-            stacklevel=3,
-            engine=engine,
-            cycles=cycles,
-            warmup=warmup,
-        )
-        base_config = base_config.with_run(cfg)
+    if run is not None:
+        base_config = base_config.with_run(run)
     library = library or default_library()
     styles = styles or ["and", "or", "latch"]
 
-    # With workers > 1 the per-style Algorithm-1 runs are independent, so
-    # they go to the process pool (repro.parallel.isolate_styles); each
-    # pooled run scores serially to avoid nested pools. Results are
-    # bit-exact with the serial loop for deterministic stimulus sources.
-    from repro.parallel.pool import WorkerPool
-    from repro.parallel.scoring import isolate_styles
-
+    # With workers > 1 the per-style runs are independent, so they go to
+    # the process pool (repro.parallel.optimize_styles); each pooled run
+    # scores serially to avoid nested pools. Results are bit-exact with
+    # the serial loop for deterministic stimulus sources.
     style_configs = [
         dataclasses.replace(base_config, style=style) for style in styles
     ]
-    optimize_results = None
-    if passes is not None:
-        # Multi-pass comparison: the per-candidate scoring inside each
-        # optimize run is what the pool accelerates; styles run serially.
-        from repro.opt import optimize
-
-        optimize_results = [
-            optimize(
-                design,
-                lambda: _stimulus_of(stimulus),
-                passes=passes,
-                config=style_config,
-                library=library,
-            )
-            for style_config in style_configs
-        ]
-        results = [opt.to_isolation_result() for opt in optimize_results]
-    else:
-        with WorkerPool(base_config.workers) as pool:
-            results = isolate_styles(
-                design, lambda: _stimulus_of(stimulus), style_configs, library, pool=pool
-            )
+    with WorkerPool(base_config.workers) as pool:
+        results = optimize_styles(
+            design,
+            lambda: _stimulus_of(stimulus),
+            style_configs,
+            library,
+            passes=passes or ("isolation",),
+            pool=pool,
+        )
 
     comparison = StyleComparison(design_name=design.name)
-    baseline_row: Optional[StyleRow] = None
-    for index, (style, result) in enumerate(zip(styles, results)):
+    for style, result in zip(styles, results):
         comparison.results[style] = result
-        if optimize_results is not None:
-            comparison.pass_results[style] = optimize_results[index]
-        if baseline_row is None:
-            baseline_row = StyleRow(
-                label="non-isolated",
-                power_mw=result.baseline.power_mw,
-                area=result.baseline.area,
-                slack=result.baseline.worst_slack,
+        if not comparison.rows:
+            comparison.rows.append(
+                StyleRow(
+                    label="non-isolated",
+                    power_mw=result.baseline.power_mw,
+                    area=result.baseline.area,
+                    slack=result.baseline.worst_slack,
+                )
             )
-            comparison.rows.append(baseline_row)
-        label = {
-            "and": "AND-isolated",
-            "or": "OR-isolated",
-            "latch": "LAT-isolated",
-        }[style]
         comparison.rows.append(
             StyleRow(
-                label=label,
+                label=_ROW_OF_STYLE[style],
                 power_mw=result.final.power_mw,
                 area=result.final.area,
                 slack=result.final.worst_slack,
@@ -165,9 +129,7 @@ def compare_styles(
                 area_increase=result.area_increase,
                 slack_reduction=result.slack_reduction,
                 pass_savings=(
-                    optimize_results[index].per_pass_net_mw()
-                    if optimize_results is not None
-                    else None
+                    result.per_pass_net_mw() if passes is not None else None
                 ),
             )
         )

@@ -1,18 +1,24 @@
 """`repro.opt` — the pluggable low-power pass framework.
 
 :func:`optimize` runs Algorithm 1's greedy loop over any combination of
-registered :class:`TransformPass` families; operand isolation and
-register clock gating ship built in. See ``docs/passes.md``.
+registered :class:`TransformPass` families; operand isolation, register
+clock gating and datapath rewriting ship built in.
+:func:`isolate_design` is the paper's Algorithm 1 — the isolation pass
+alone. Both are configured by one :class:`IsolationConfig` and return
+one :class:`OptimizeResult`. See ``docs/passes.md``.
 """
 
 from repro.opt.framework import (
     AppliedTransform,
-    OptimizeConfig,
+    DesignMetrics,
+    IsolationConfig,
     OptimizeResult,
-    OptIterationRecord,
+    OptIteration,
     PassContext,
+    StageTimings,
     TransformPass,
     available_passes,
+    isolate_design,
     optimize,
     register_pass,
     resolve_passes,
@@ -26,15 +32,18 @@ from repro.opt.rewriting import RewritePass
 __all__ = [
     "AppliedTransform",
     "ClockGatingPass",
+    "DesignMetrics",
     "GatingScore",
+    "IsolationConfig",
     "IsolationPass",
     "RewritePass",
-    "OptimizeConfig",
     "OptimizeResult",
-    "OptIterationRecord",
+    "OptIteration",
     "PassContext",
+    "StageTimings",
     "TransformPass",
     "available_passes",
+    "isolate_design",
     "optimize",
     "register_pass",
     "resolve_passes",

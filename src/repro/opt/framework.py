@@ -14,10 +14,11 @@ family lives behind the :class:`TransformPass` protocol:
 All passes in one run compete under the *shared*
 :class:`~repro.core.cost.CostWeights` / ``h_min`` budget and are fed by
 the *same* per-iteration estimation run, so their scores are directly
-comparable. With ``passes=("isolation",)`` the loop is an exact
-transcription of the legacy :func:`repro.core.algorithm.isolate_design`
-and produces bit-identical results; that function is now a thin wrapper
-over this one.
+comparable. The loop's knobs are one :class:`IsolationConfig` and its
+one output is an :class:`OptimizeResult`: every iteration's decisions
+plus the before/after power, area and slack of the paper's Tables 1
+and 2. :func:`isolate_design` is Algorithm 1 as the paper states it —
+the isolation pass alone.
 
 Writing a third pass means subclassing :class:`TransformPass` and
 registering a factory with :func:`register_pass` — see
@@ -26,31 +27,304 @@ registering a factory with :func:`register_pass` — see
 
 from __future__ import annotations
 
+import copy
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
-from repro.core.algorithm import (
-    DesignMetrics,
-    IsolationConfig,
-    IsolationResult,
-    IterationRecord,
-    StageTimings,
-    StimulusSource,
-    _measure_power,
-)
+from repro.core.cost import CostWeights
+from repro.core.isolate import STYLES
 from repro.errors import IsolationError
 from repro.netlist.design import Design
+from repro.power.estimator import PowerEstimator
 from repro.power.library import TechnologyLibrary, default_library
-from repro.runconfig import RunConfig
+from repro.runconfig import ENGINES, RunConfig, _default_workers
+from repro.sim.engine import make_simulator
+from repro.sim.monitor import ToggleMonitor
+from repro.sim.stimulus import Stimulus
 from repro.timing.sta import analyze_timing
 
-#: The optimizer reuses Algorithm 1's knobs unchanged; the pass list is a
-#: separate argument so one config drives any pass combination.
-OptimizeConfig = IsolationConfig
+StimulusSource = Union[Stimulus, Callable[[], Stimulus]]
 
 
+# ----------------------------------------------------------------------
+# Configuration
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class IsolationConfig:
+    """Knobs of Algorithm 1, shared by every pass of one :func:`optimize` run.
+
+    Attributes
+    ----------
+    style:
+        Isolation style: ``"and"``, ``"or"``, ``"latch"`` — or ``"auto"``,
+        which scores every candidate under all three styles each
+        iteration and isolates with whichever maximises ``h(c)`` (so e.g.
+        short-idle-burst candidates get latches while long-burst ones get
+        cheap AND gates, see Ablation A).
+    weights:
+        The ω_p/ω_a/h_min cost trade-off (Section 5.1).
+    cycles / warmup:
+        Simulation length per estimation run. ``cycles`` must be at
+        least 2: a toggle rate needs two observed cycles.
+    clock_period:
+        Timing constraint in ns. ``None`` sets it from the original
+        design's critical path times ``period_margin`` (the paper's
+        designs met their constraints with margin to spare).
+    period_margin:
+        Multiplier (> 0) applied to the critical path when deriving the
+        period.
+    slack_threshold:
+        Candidates whose *estimated* post-isolation slack would fall
+        below this are rejected up front (Algorithm 1, lines 5–10).
+    refined_savings:
+        Use the refined per-source primary-savings model (default) or
+        the plain Eq. (1) approximation.
+    lookahead_depth:
+        Rounds of one-cycle register look-ahead when deriving activation
+        functions (:mod:`repro.core.lookahead`). 0 (default) is the
+        paper's baseline ``f_r⁺ = 1``. With look-ahead enabled,
+        free-running pipeline registers may capture blocked values in
+        provably-unconsumed cycles, so verify the result with
+        ``compare_registers=False``.
+    max_iterations:
+        Safety bound on the main loop; the loop normally exits because
+        no candidate clears ``h_min``.
+    engine:
+        Simulation backend for every estimation run: ``"python"`` (the
+        reference interpreter), ``"compiled"`` (the pre-bound kernel
+        backend of :mod:`repro.sim.compile`; bit-exact, much faster) or
+        ``"checked"`` (compiled + reference in lockstep with periodic
+        cross-comparison; raises on any divergence).
+    workers:
+        Process-pool width for the per-candidate scoring stage
+        (:mod:`repro.parallel`): ``1`` = serial, ``0`` = auto (one
+        worker per CPU), ``n > 1`` = a pool of ``n`` workers. Defaults
+        to the ``REPRO_WORKERS`` environment variable (else 1). Greedy
+        selection is bit-identical across worker counts; pool failures
+        degrade to serial with a recorded
+        ``StageTimings.pool_fallback_reason``.
+
+    Values that would silently give wrong results (an unknown style,
+    fewer than two cycles, a non-positive clock, negative counts) raise
+    :class:`~repro.errors.IsolationError` at construction.
+    """
+
+    style: str = "and"
+    weights: CostWeights = field(default_factory=CostWeights)
+    cycles: int = 2000
+    warmup: int = 32
+    clock_period: Optional[float] = None
+    period_margin: float = 1.25
+    slack_threshold: float = 0.0
+    refined_savings: bool = True
+    lookahead_depth: int = 0
+    max_iterations: int = 25
+    engine: str = "python"
+    workers: int = field(default_factory=_default_workers)
+
+    def __post_init__(self) -> None:
+        styles = STYLES + ("auto",)
+        if self.style not in styles:
+            raise IsolationError(
+                f"unknown style {self.style!r}; choose one of {styles}"
+            )
+        if self.engine not in ENGINES:
+            raise IsolationError(
+                f"unknown engine {self.engine!r}; choose one of {ENGINES}"
+            )
+        if self.cycles < 2:
+            raise IsolationError(
+                f"cycles must be >= 2 (a toggle rate needs two cycles), "
+                f"got {self.cycles}"
+            )
+        if self.warmup < 0:
+            raise IsolationError(f"warmup must be >= 0, got {self.warmup}")
+        if self.period_margin <= 0:
+            raise IsolationError(
+                f"period_margin must be > 0, got {self.period_margin}"
+            )
+        if self.clock_period is not None and self.clock_period <= 0:
+            raise IsolationError(
+                f"clock_period must be > 0 ns, got {self.clock_period}"
+            )
+        if self.lookahead_depth < 0:
+            raise IsolationError(
+                f"lookahead_depth must be >= 0, got {self.lookahead_depth}"
+            )
+        if self.max_iterations < 0:
+            raise IsolationError(
+                f"max_iterations must be >= 0, got {self.max_iterations}"
+            )
+        if self.workers < 0:
+            raise IsolationError(
+                f"workers must be >= 0 (0 = auto), got {self.workers}"
+            )
+
+    def with_run(self, run: RunConfig) -> "IsolationConfig":
+        """A copy whose cycles, warmup, engine and workers come from ``run``."""
+        return replace(
+            self,
+            cycles=run.cycles,
+            warmup=run.warmup,
+            engine=run.engine,
+            workers=run.workers,
+        )
+
+
+# ----------------------------------------------------------------------
+# Measurements
+# ----------------------------------------------------------------------
+@dataclass
+class DesignMetrics:
+    """Power / area / slack snapshot of one design state."""
+
+    power_mw: float
+    area: float
+    worst_slack: float
+    clock_period: float
+
+
+@dataclass
+class StageTimings:
+    """Wall-clock seconds spent per stage of one :func:`optimize` run.
+
+    ``simulate_s`` covers the estimation runs (baseline, per-iteration
+    and final), ``score_s`` the analysis between them (partitioning,
+    activation derivation, timing, cost evaluation) and ``transform_s``
+    the netlist transforms (each pass's ``apply``).
+
+    ``fallback_reason`` is set when a requested compiled backend could
+    not be built and the run gracefully degraded to the python
+    reference engine (see :func:`repro.sim.engine.make_simulator`);
+    ``engine`` then still names what was *requested*. Likewise
+    ``pool_fallback_reason`` is set when a requested worker pool failed
+    and candidate scoring degraded to serial execution
+    (:class:`repro.parallel.WorkerPool`); ``workers`` still names the
+    resolved request.
+
+    ``parallel_tasks`` / ``parallel_busy_s`` / ``parallel_wall_s``
+    account for pooled scoring work: tasks dispatched, summed in-worker
+    seconds, and wall-clock seconds the parent spent waiting on the
+    pool. ``worker_utilization`` is busy / (workers × wall).
+    """
+
+    simulate_s: float = 0.0
+    score_s: float = 0.0
+    transform_s: float = 0.0
+    simulations: int = 0
+    engine: str = "python"
+    fallback_reason: Optional[str] = None
+    workers: int = 1
+    parallel_tasks: int = 0
+    parallel_busy_s: float = 0.0
+    parallel_wall_s: float = 0.0
+    pool_fallback_reason: Optional[str] = None
+
+    @property
+    def total_s(self) -> float:
+        return self.simulate_s + self.score_s + self.transform_s
+
+    @property
+    def worker_utilization(self) -> float:
+        """Fraction of the pool's capacity kept busy (0 when unused)."""
+        if self.workers <= 1 or self.parallel_wall_s <= 0.0:
+            return 0.0
+        return self.parallel_busy_s / (self.workers * self.parallel_wall_s)
+
+    def to_dict(self) -> dict:
+        payload = {
+            "simulate_s": self.simulate_s,
+            "score_s": self.score_s,
+            "transform_s": self.transform_s,
+            "total_s": self.total_s,
+            "simulations": self.simulations,
+            "engine": self.engine,
+            "workers": self.workers,
+        }
+        if self.fallback_reason is not None:
+            payload["fallback_reason"] = self.fallback_reason
+        if self.workers > 1 or self.parallel_tasks:
+            payload["parallel"] = {
+                "tasks": self.parallel_tasks,
+                "busy_s": self.parallel_busy_s,
+                "wall_s": self.parallel_wall_s,
+                "utilization": self.worker_utilization,
+            }
+        if self.pool_fallback_reason is not None:
+            payload["pool_fallback_reason"] = self.pool_fallback_reason
+        return payload
+
+    @classmethod
+    def from_spans(cls, spans) -> "StageTimings":
+        """Derive stage timings from a recorded span forest.
+
+        The span tree is the primary record when tracing is on; this is
+        the flat view, summed over every ``optimize`` root in the
+        forest. Per root, ``simulate_s`` sums its ``power.estimate``
+        spans, ``transform_s`` its ``bank.insert``, ``clock.gate`` and
+        ``rewrite.apply`` spans, and ``score_s`` is the rest of the
+        root: the same decomposition the accumulating counters produce.
+        ``engine`` and ``workers`` come from the last root.
+        """
+        timings = cls()
+        for root in obs.find_spans(spans, "optimize"):
+            estimates = obs.find_spans([root], "power.estimate")
+            simulate_s = sum(s.duration_s for s in estimates)
+            transform_s = sum(
+                s.duration_s
+                for name in ("bank.insert", "clock.gate", "rewrite.apply")
+                for s in obs.find_spans([root], name)
+            )
+            timings.simulate_s += simulate_s
+            timings.transform_s += transform_s
+            timings.score_s += max(0.0, root.duration_s - simulate_s - transform_s)
+            timings.simulations += len(estimates)
+            timings.engine = str(root.attrs.get("engine", timings.engine))
+            timings.workers = int(root.attrs.get("workers", timings.workers))
+        return timings
+
+
+def _stimulus_of(source: StimulusSource) -> Stimulus:
+    """A fresh stimulus per estimation run (identical statistics each time)."""
+    if callable(source) and not hasattr(source, "values"):
+        return source()
+    return copy.deepcopy(source)
+
+
+def _measure_power(
+    design: Design,
+    source: StimulusSource,
+    config: IsolationConfig,
+    library: TechnologyLibrary,
+    extra_monitors: Optional[list] = None,
+    timings: Optional[StageTimings] = None,
+) -> Tuple[float, ToggleMonitor]:
+    """One estimation run: the total power in mW and its toggle monitor."""
+    with obs.span(
+        "power.estimate",
+        "sim",
+        design=design.name,
+        engine=config.engine,
+        cycles=config.cycles,
+    ) as span:
+        monitor = ToggleMonitor()
+        monitors = [monitor] + list(extra_monitors or [])
+        simulator = make_simulator(design, config.engine)
+        if timings is not None and simulator.fallback_reason is not None:
+            timings.fallback_reason = simulator.fallback_reason
+        simulator.run(
+            _stimulus_of(source), config.cycles, monitors=monitors, warmup=config.warmup
+        )
+        breakdown = PowerEstimator(library).breakdown(design, monitor)
+        span.set(power_mw=breakdown.total_power_mw)
+    return breakdown.total_power_mw, monitor
+
+
+# ----------------------------------------------------------------------
+# Pass protocol
+# ----------------------------------------------------------------------
 @dataclass
 class PassContext:
     """Shared per-run state handed to every pass at :meth:`TransformPass.begin`.
@@ -78,11 +352,11 @@ class AppliedTransform:
 
 
 @dataclass
-class OptIterationRecord:
+class OptIteration:
     """What happened in one pass of the generic greedy loop.
 
-    Generalises :class:`~repro.core.algorithm.IterationRecord`: scores and
-    rejections are keyed by pass name, applications carry their pass.
+    Scores and rejections are keyed by pass name, applications carry
+    their pass.
     """
 
     index: int
@@ -124,7 +398,7 @@ class TransformPass:
         """Bind the run context; called once before the main loop."""
         self.ctx = ctx
 
-    def enumerate(self, record: OptIterationRecord) -> int:
+    def enumerate(self, record: OptIteration) -> int:
         """Find this iteration's candidates; return how many are scorable.
 
         Permanent rejections (slack violations, structurally ungateable
@@ -203,7 +477,7 @@ def resolve_passes(names: Sequence[str]) -> List[TransformPass]:
 # ----------------------------------------------------------------------
 @dataclass
 class OptimizeResult:
-    """Everything :func:`optimize` produces; subsumes ``IsolationResult``."""
+    """Everything :func:`optimize` produces (Tables 1–2 plus every decision)."""
 
     original: Design
     design: Design
@@ -212,7 +486,7 @@ class OptimizeResult:
     baseline: DesignMetrics
     final: DesignMetrics
     transforms: List[AppliedTransform] = field(default_factory=list)
-    iterations: List[OptIterationRecord] = field(default_factory=list)
+    iterations: List[OptIteration] = field(default_factory=list)
     timings: StageTimings = field(default_factory=StageTimings)
     _pass_objects: dict = field(default_factory=dict, repr=False)
 
@@ -253,39 +527,6 @@ class OptimizeResult:
         if self.baseline.worst_slack <= 0:
             return 0.0
         return 1.0 - self.final.worst_slack / self.baseline.worst_slack
-
-    # ------------------------------------------------------------------
-    def to_isolation_result(self) -> IsolationResult:
-        """The legacy view: exactly what ``isolate_design`` used to build.
-
-        Score/instance objects are shared, not copied, so a
-        ``passes=("isolation",)`` run converts into a bit-identical
-        :class:`IsolationResult`.
-        """
-        result = IsolationResult(
-            original=self.original,
-            design=self.design,
-            config=self.config,
-            baseline=self.baseline,
-            final=self.final,
-            timings=self.timings,
-        )
-        result.instances = [
-            t.instance for t in self.transforms if t.pass_name == "isolation"
-        ]
-        for rec in self.iterations:
-            result.iterations.append(
-                IterationRecord(
-                    index=rec.index,
-                    total_power_mw=rec.total_power_mw,
-                    scores=list(rec.scores.get("isolation", [])),
-                    isolated=[
-                        t.target for t in rec.applied if t.pass_name == "isolation"
-                    ],
-                    rejected_slack=list(rec.rejected.get("isolation", [])),
-                )
-            )
-        return result
 
     def to_dict(self) -> dict:
         """JSON-serialisable record of the run (for tooling/serving)."""
@@ -368,6 +609,11 @@ class OptimizeResult:
             f"({self.timings.simulations} runs, engine {self.timings.engine!r}, "
             f"workers {self.timings.workers})",
         ]
+        if self.timings.workers > 1 and self.timings.parallel_tasks:
+            lines.append(
+                f"  pool   : {self.timings.parallel_tasks} tasks, "
+                f"{self.timings.worker_utilization:.0%} utilization"
+            )
         if self.timings.fallback_reason:
             lines.append(
                 f"  note   : engine degraded to 'python' "
@@ -391,8 +637,6 @@ def optimize(
     config: Optional[IsolationConfig] = None,
     library: Optional[TechnologyLibrary] = None,
     run: Optional[RunConfig] = None,
-    _working_name: Optional[str] = None,
-    _root_span: str = "optimize",
 ) -> OptimizeResult:
     """Run the greedy low-power loop with the named passes on a design copy.
 
@@ -400,38 +644,47 @@ def optimize(
     a zero-argument factory. ``passes`` lists registered pass names in
     application order (order is documented not to change the final
     design — see ``docs/passes.md``). ``run=RunConfig(...)`` overrides
-    the config's cycles/warmup/engine/workers, as in ``isolate_design``.
+    the config's cycles/warmup/engine/workers. The working copy is named
+    ``<design>_opt``; ``design`` itself is left untouched.
     """
     config = config or IsolationConfig()
     if run is not None:
         config = config.with_run(run)
     library = library or default_library()
     pass_objects = resolve_passes(passes)
-    pass_names = tuple(p.name for p in pass_objects)
 
     from repro.parallel.pool import WorkerPool
 
     pool = WorkerPool(config.workers)
-
-    attrs = dict(
+    with obs.span(
+        "optimize",
+        "stage",
         design=design.name,
         style=config.style,
         engine=config.engine,
         workers=pool.workers,
+        passes=",".join(p.name for p in pass_objects),
+    ):
+        return _run_optimize(design, stimulus, pass_objects, config, library, pool)
+
+
+def isolate_design(
+    design: Design,
+    stimulus: StimulusSource,
+    config: Optional[IsolationConfig] = None,
+    library: Optional[TechnologyLibrary] = None,
+    run: Optional[RunConfig] = None,
+) -> OptimizeResult:
+    """Run Algorithm 1 on ``design``: :func:`optimize` with the isolation
+    pass alone (``passes=("isolation",)``), same arguments and result."""
+    return optimize(
+        design,
+        stimulus,
+        passes=("isolation",),
+        config=config,
+        library=library,
+        run=run,
     )
-    if _root_span != "isolate":
-        attrs["passes"] = ",".join(pass_names)
-    with obs.span(_root_span, "stage", **attrs):
-        return _run_optimize(
-            design,
-            stimulus,
-            pass_objects,
-            config,
-            library,
-            pool,
-            working_name=_working_name or f"{design.name}_opt",
-            iteration_span=f"{_root_span}.iteration",
-        )
 
 
 def _run_optimize(
@@ -441,11 +694,9 @@ def _run_optimize(
     config: IsolationConfig,
     library: TechnologyLibrary,
     pool,
-    working_name: str,
-    iteration_span: str,
 ) -> OptimizeResult:
     """The traced body of the generic loop (see :func:`optimize`)."""
-    working = design.copy(working_name)
+    working = design.copy(f"{design.name}_opt")
 
     timings = StageTimings(engine=config.engine, workers=pool.workers)
 
@@ -498,12 +749,12 @@ def _run_optimize(
 
     # --- Main loop (Algorithm 1 lines 13-31, across all passes) -------
     for index in range(config.max_iterations):
-        with obs.span(iteration_span, "stage", index=index) as span:
+        with obs.span("optimize.iteration", "stage", index=index) as span:
             iteration_start = time.perf_counter()
             simulate_before = timings.simulate_s
             transform_before = timings.transform_s
 
-            record = OptIterationRecord(index=index, total_power_mw=0.0)
+            record = OptIteration(index=index, total_power_mw=0.0)
             counts = [p.enumerate(record) for p in passes]
             if not any(counts):
                 result.iterations.append(record)

@@ -25,7 +25,7 @@ from repro.baselines.clock_gating import clock_gate_registers
 from repro.core.activation import enable_condition
 from repro.opt.framework import (
     AppliedTransform,
-    OptIterationRecord,
+    OptIteration,
     PassContext,
     TransformPass,
     register_pass,
@@ -64,7 +64,7 @@ class ClockGatingPass(TransformPass):
         super().begin(ctx)
         self._reported_free_running = False
 
-    def enumerate(self, record: OptIterationRecord) -> int:
+    def enumerate(self, record: OptIteration) -> int:
         working = self.ctx.working
         self._candidates = []
         self._probes = ProbeSet()

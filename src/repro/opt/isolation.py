@@ -1,11 +1,10 @@
 """Operand isolation re-expressed as a :class:`TransformPass`.
 
-This is the paper's Algorithm 1 body, stage by stage, moved behind the
-pass protocol. Every statement, counter and span is carried over from
-the legacy ``_run_isolation`` loop so that
-``optimize(passes=("isolation",))`` is bit-identical to the seed
-``isolate_design`` (the equivalence suite in
-``tests/test_opt_equivalence.py`` pins this across all shipped designs).
+This is the paper's Algorithm 1 body, stage by stage, behind the pass
+protocol: ``optimize(passes=("isolation",))`` — spelled
+:func:`~repro.opt.isolate_design` — is Algorithm 1. The golden suite
+``tests/test_opt_equivalence.py`` pins its decisions and metrics on
+every shipped design.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from repro.core.savings import SavingsModel
 from repro.netlist.partition import partition_blocks
 from repro.opt.framework import (
     AppliedTransform,
-    OptIterationRecord,
+    OptIteration,
     PassContext,
     TransformPass,
     register_pass,
@@ -45,7 +44,7 @@ class IsolationPass(TransformPass):
         # only ever *add* delay on these paths.
         self._rejected: Set[str] = set()
 
-    def enumerate(self, record: OptIterationRecord) -> int:
+    def enumerate(self, record: OptIteration) -> int:
         ctx = self.ctx
         working, config, library = ctx.working, ctx.config, ctx.library
         blocks = partition_blocks(working)

@@ -30,7 +30,7 @@ from typing import List, Optional
 from repro import obs
 from repro.opt.framework import (
     AppliedTransform,
-    OptIterationRecord,
+    OptIteration,
     PassContext,
     TransformPass,
     register_pass,
@@ -71,7 +71,7 @@ class RewritePass(TransformPass):
         self._plans: List[RewritePlan] = []
         self._trace: Optional[ValueTrace] = None
 
-    def enumerate(self, record: OptIterationRecord) -> int:
+    def enumerate(self, record: OptIteration) -> int:
         self._plans = find_rewrites(self.ctx.working, created_by=self._rule_of)
         self._trace = None
         if self._plans:

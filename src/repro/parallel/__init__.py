@@ -9,7 +9,7 @@ Two independent axes of parallelism, both deterministic by construction:
   merged statistics are bit-exact regardless of worker count.
 * **Task parallelism** (:mod:`repro.parallel.scoring`) — the
   per-candidate cost evaluations of Algorithm 1 (and the what-if
-  explorer, and ``compare_styles``'s per-style runs) are dispatched to
+  explorer, and ``compare_styles``'s per-style optimizer runs) are dispatched to
   the pool; workers return identity-free numeric records that the
   parent re-binds to its live candidate objects, so greedy selection
   order is identical to serial.
@@ -36,7 +36,7 @@ from repro.parallel.pool import (
 from repro.parallel.scoring import (
     ScoreRecord,
     chunk_tasks,
-    isolate_styles,
+    optimize_styles,
     score_candidates,
 )
 from repro.parallel.shard import (
@@ -61,7 +61,7 @@ __all__ = [
     "resolve_workers",
     "ScoreRecord",
     "chunk_tasks",
-    "isolate_styles",
+    "optimize_styles",
     "score_candidates",
     "DEFAULT_MAX_LANES_PER_SHARD",
     "MergedBatchStats",

@@ -133,7 +133,7 @@ class WorkerPool:
 
     The executor is created on first :meth:`map` call and reused until
     :meth:`close` (cheap to keep across the iterations of
-    :func:`~repro.core.algorithm.isolate_design`). After any
+    :func:`~repro.opt.optimize`). After any
     infrastructure failure the pool is permanently degraded: every
     subsequent map runs inline, and :attr:`fallback_reason` records why.
     """

@@ -231,51 +231,57 @@ def rank_chunked(
 # ----------------------------------------------------------------------
 # Style-level parallelism for compare_styles
 # ----------------------------------------------------------------------
-def _isolate_style(payload: dict):
-    """Worker: one full Algorithm-1 run for one style."""
-    from repro.core.algorithm import isolate_design
+def _optimize_style(payload: dict):
+    """Worker: one full optimizer run for one style."""
+    from repro.opt import optimize
 
-    return isolate_design(
+    return optimize(
         payload["design"],
         payload["stimulus"],
-        payload["config"],
-        payload["library"],
+        passes=payload["passes"],
+        config=payload["config"],
+        library=payload["library"],
     )
 
 
-def isolate_styles(
+def optimize_styles(
     design,
     stimulus_of,
     configs: Sequence,
     library,
+    passes: Sequence[str] = ("isolation",),
     pool: Optional[WorkerPool] = None,
 ) -> List:
-    """Run ``isolate_design`` once per style config, serially or pooled.
+    """Run :func:`repro.opt.optimize` once per style config, serially or pooled.
 
     ``stimulus_of`` is a zero-argument factory producing one fresh
     stimulus per style (workers receive a materialised stimulus object,
-    which ``isolate_design`` deep-copies per estimation run — identical
+    which ``optimize`` deep-copies per estimation run — identical
     statistics to the serial factory path for deterministic factories).
     Nested pools are avoided by forcing ``workers=1`` in shipped
     configs. Results keep referencing the caller's original design.
     """
-    from repro.core.algorithm import isolate_design
+    from repro.opt import optimize
 
+    passes = list(passes)
     if pool is None or not pool.active or len(configs) <= 1:
         return [
-            isolate_design(design, stimulus_of(), config, library)
+            optimize(
+                design, stimulus_of(), passes=passes, config=config, library=library
+            )
             for config in configs
         ]
     payloads = [
         {
             "design": design,
             "stimulus": copy.deepcopy(stimulus_of()),
+            "passes": passes,
             "config": replace(config, workers=1),
             "library": library,
         }
         for config in configs
     ]
-    results = pool.map(_isolate_style, payloads)
+    results = pool.map(_optimize_style, payloads)
     for result in results:
         result.original = design  # re-bind identity lost in pickling
     return results

@@ -21,7 +21,7 @@ from repro import obs
 from repro.netlist.cells import Cell, PortDir
 from repro.netlist.design import Design
 from repro.power.library import TechnologyLibrary, default_library
-from repro.runconfig import RunConfig, resolve_run_config
+from repro.runconfig import RunConfig
 from repro.sim.engine import Simulator, make_simulator
 from repro.sim.monitor import ToggleMonitor
 from repro.sim.stimulus import Stimulus
@@ -182,29 +182,20 @@ class PowerEstimator:
 def estimate_power(
     design: Design,
     stimulus: Stimulus,
-    cycles: Optional[int] = None,
+    *,
     library: Optional[TechnologyLibrary] = None,
-    warmup: Optional[int] = None,
     extra_monitors: Optional[list] = None,
     run: Optional[RunConfig] = None,
-    engine: Optional[str] = None,
 ) -> PowerBreakdown:
     """Simulate ``design`` and return its power breakdown.
 
-    Run control comes from ``run=RunConfig(...)`` (with ``engine=`` as a
-    first-class override); the historical ``cycles``/``warmup`` kwargs
-    still work as deprecated aliases. ``extra_monitors`` ride along on
-    the same simulation run (probes for the savings model, traces for
-    verification...), avoiding a second pass over the stimulus.
+    Run control (cycles, warmup, engine) comes from
+    ``run=RunConfig(...)``, else the :class:`RunConfig` defaults.
+    ``extra_monitors`` ride along on the same simulation run (probes for
+    the savings model, traces for verification...), avoiding a second
+    pass over the stimulus.
     """
-    cfg = resolve_run_config(
-        run,
-        defaults=RunConfig(cycles=2000, warmup=16),
-        stacklevel=3,
-        engine=engine,
-        cycles=cycles,
-        warmup=warmup,
-    )
+    cfg = run or RunConfig()
     with obs.span(
         "power.estimate",
         "sim",

@@ -1,12 +1,8 @@
 """Shared run-control configuration for every simulation-driven entry point.
 
-Historically each entry point grew its own run-control kwargs:
-``estimate_power(design, stimulus, cycles, warmup=16)``,
-``rank_candidates(..., cycles=2000)``, ``isolate_design`` via
-``IsolationConfig(cycles=, warmup=)`` and ``compare_styles`` via the same
-config object — with inconsistent names, positions and defaults.
-
-:class:`RunConfig` is the one object that carries those knobs now:
+:class:`RunConfig` is the one object that carries the run-control knobs
+of ``estimate_power``, ``rank_candidates``, ``optimize``/``isolate_design``
+and ``compare_styles``:
 
 * ``cycles`` / ``warmup`` — simulation length per estimation run;
 * ``seed`` — stimulus seed (used by the :mod:`repro.api` facade and the
@@ -23,18 +19,16 @@ config object — with inconsistent names, positions and defaults.
   ``REPRO_WORKERS`` environment variable (else 1). Serial and parallel
   runs are bit-exact (see ``docs/parallelism.md``).
 
-Every entry point accepts ``run=RunConfig(...)``; the old per-call
-kwargs keep working as deprecated aliases that emit a
-:class:`DeprecationWarning` (see :func:`resolve_run_config`).
+Every entry point accepts ``run=RunConfig(...)`` as its one per-call
+override.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field, fields, replace
-from typing import Mapping, Optional
+from typing import Mapping
 
 from repro.errors import ReproError
 
@@ -153,41 +147,3 @@ class RunConfig:
             separators=(",", ":"),
         )
         return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def resolve_run_config(
-    run: Optional[RunConfig] = None,
-    defaults: Optional[RunConfig] = None,
-    stacklevel: int = 2,
-    engine: Optional[str] = None,
-    **legacy,
-) -> RunConfig:
-    """Merge ``run=RunConfig`` with deprecated per-call kwargs.
-
-    ``legacy`` holds the old kwargs (``cycles=``, ``warmup=``,
-    ``seed=``); any that are not ``None`` emit a single
-    :class:`DeprecationWarning` and override the corresponding
-    :class:`RunConfig` field. ``engine`` is a first-class kwarg (not
-    deprecated) and likewise overrides the config when given.
-
-    The default ``stacklevel=2`` points the warning at whoever called
-    this function. Entry points that accept the legacy kwargs on the
-    user's behalf (``estimate_power``, ``isolate_design``, ...) pass
-    ``stacklevel=3`` so the warning names *their* caller's file, not a
-    line inside ``repro``.
-    """
-    resolved = run if run is not None else (defaults or RunConfig())
-    provided = {k: v for k, v in legacy.items() if v is not None}
-    if provided:
-        names = ", ".join(sorted(provided))
-        hint = ", ".join(f"{k}={v!r}" for k, v in sorted(provided.items()))
-        warnings.warn(
-            f"passing {names} directly is deprecated; "
-            f"pass run=RunConfig({hint}) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        resolved = replace(resolved, **provided)
-    if engine is not None:
-        resolved = replace(resolved, engine=engine)
-    return resolved

@@ -128,15 +128,6 @@ def _result_estimate(session: Session, params: dict) -> dict:
     }
 
 
-def _result_isolate(session: Session, params: dict) -> dict:
-    result = session.isolate(style=params.get("style"))
-    payload = result.to_dict()
-    # Wall-clock stage timings are run metadata, not content — keeping
-    # them out makes cached and fresh payloads byte-identical.
-    payload.pop("timings", None)
-    return payload
-
-
 def _result_optimize(session: Session, params: dict) -> dict:
     kwargs = {}
     if params.get("passes") is not None:
@@ -144,8 +135,8 @@ def _result_optimize(session: Session, params: dict) -> dict:
     if any(params.get(key) is not None for key in ("h_min", "omega_p", "omega_a")):
         # Cost-weight overrides (the sweep grid's ω/h_min axis). They
         # ride in params, so they are cache-key ingredients for free.
-        from repro.core.algorithm import IsolationConfig
         from repro.core.cost import CostWeights
+        from repro.opt import IsolationConfig
 
         kwargs["config"] = IsolationConfig(
             style=params.get("style") or "and",
@@ -157,8 +148,21 @@ def _result_optimize(session: Session, params: dict) -> dict:
         )
     result = session.optimize(style=params.get("style"), **kwargs)
     payload = result.to_dict()
+    # Wall-clock stage timings are run metadata, not content — keeping
+    # them out makes cached and fresh payloads byte-identical.
     payload.pop("timings", None)
     return payload
+
+
+def _isolate_as_optimize(params: dict) -> dict:
+    """``isolate`` is ``optimize`` with the isolation pass alone.
+
+    The method, not the job's params, fixes the pass list, so an
+    ``isolate`` job replayed from an older journal also runs isolation
+    alone. The job runs, and is cached, as that ``optimize`` job: both
+    spellings return the same bytes under one cache key.
+    """
+    return {**params, "passes": ["isolation"]}
 
 
 def _result_rank(session: Session, params: dict) -> dict:
@@ -204,7 +208,12 @@ def _result_activation(session: Session, params: dict) -> dict:
 METHODS: Dict[str, Tuple[frozenset, Callable[[Session, dict], dict]]] = {
     "validate": (frozenset({"allow_dangling"}), _result_validate),
     "estimate": (frozenset(), _result_estimate),
-    "isolate": (frozenset({"style"}), _result_isolate),
+    "isolate": (
+        frozenset({"style"}),
+        lambda session, params: _result_optimize(
+            session, _isolate_as_optimize(params)
+        ),
+    ),
     # The ordered pass list is a cache-key ingredient: job_cache_key
     # canonicalises params with lists preserved in order.
     "optimize": (
@@ -722,11 +731,14 @@ class JobService:
             run_cfg = run_cfg.replace(**dict(run))  # only the named fields
         run_cfg = run_cfg.replace(trace=False)  # job tracing is service-managed
         fingerprint = design_fingerprint(design_obj)
+        key_method, key_params = method, params
+        if method == "isolate":
+            key_method, key_params = "optimize", _isolate_as_optimize(params)
         cache_key = job_cache_key(
-            method,
+            key_method,
             fingerprint,
             run_cfg.fingerprint(),
-            params,
+            key_params,
             stimulus_fingerprint(stimulus_spec),
         )
         job = Job(

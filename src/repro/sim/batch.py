@@ -387,7 +387,7 @@ class BatchSimulator:
         # constructed the simulator; wrappers that build one on a caller's
         # behalf (e.g. :func:`repro.parallel.run_shard`) pass 3 so the
         # warning lands on *their* caller's file, not a line inside
-        # ``repro`` — same convention as ``resolve_run_config``.
+        # ``repro``.
         # The lockstep "checked" mode exists only for the scalar engines;
         # reject it here rather than silently running unchecked.
         if engine not in ("python", "compiled", "bitslice"):

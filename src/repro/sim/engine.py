@@ -236,7 +236,7 @@ def make_simulator(design: Design, engine: str = "python"):
     to the compiled engine while ``"compiled"`` and ``"checked"`` fall
     back to the reference engine — a ``RuntimeWarning`` is emitted and
     the returned simulator carries ``fallback_reason`` so callers (e.g.
-    :func:`repro.core.algorithm.isolate_design`) can record the
+    :func:`repro.opt.optimize`) can record the
     degradation in their stage timings. Design-level errors (validation
     failures and other typed :class:`~repro.errors.ReproError`\\ s)
     propagate unchanged: they would fail on any backend.

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core.algorithm import IsolationConfig, isolate_design
 from repro.core.cost import CostWeights
+from repro.errors import IsolationError
+from repro.opt import IsolationConfig, isolate_design
 from repro.sim.stimulus import ControlStream, random_stimulus
 from repro.verify import check_observable_equivalence
 
@@ -15,6 +16,33 @@ def d1_stimulus(design, en=ControlStream(0.2, 0.1), seed=7):
         )
 
     return make
+
+
+class TestIsolationConfig:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"style": "bogus"},
+            {"cycles": 0},
+            {"cycles": -3},
+            {"cycles": 1},
+            {"warmup": -2},
+            {"period_margin": 0},
+            {"period_margin": -1.0},
+            {"clock_period": 0.0},
+            {"clock_period": -2.5},
+            {"lookahead_depth": -1},
+            {"max_iterations": -1},
+        ],
+    )
+    def test_rejects_values_that_give_wrong_results(self, bad):
+        with pytest.raises(IsolationError):
+            IsolationConfig(**bad)
+
+    def test_edge_values_stay_valid(self):
+        IsolationConfig(workers=1)
+        IsolationConfig(style="auto", cycles=2, warmup=0, max_iterations=0)
+        IsolationConfig(clock_period=5.0, lookahead_depth=0)
 
 
 class TestAlgorithmBehaviour:
@@ -41,14 +69,15 @@ class TestAlgorithmBehaviour:
         result = isolate_design(d1, d1_stimulus(d1), IsolationConfig(cycles=400))
         for record in result.iterations:
             blocks_hit = set()
-            for name in record.isolated:
+            isolated = [t.target for t in record.applied]
+            for name in isolated:
                 instance = next(
-                    i for i in result.instances if i.candidate.name == name
+                    t.instance for t in result.transforms if t.target == name
                 )
                 # Block identity isn't stored on instances; re-derive via
                 # the names isolated in one iteration being distinct.
                 blocks_hit.add(name)
-            assert len(blocks_hit) == len(record.isolated)
+            assert len(blocks_hit) == len(isolated)
 
     def test_terminates_when_no_candidate_clears_threshold(self, d1):
         config = IsolationConfig(
@@ -77,7 +106,7 @@ class TestAlgorithmBehaviour:
         natural = analyze_timing(d1, default_library()).clock_period
         config = IsolationConfig(cycles=300, clock_period=natural)
         result = isolate_design(d1, d1_stimulus(d1), config)
-        assert {"mul0", "mul1"} <= set(result.iterations[0].rejected_slack)
+        assert {"mul0", "mul1"} <= set(result.iterations[0].rejected["isolation"])
         assert "mul0" not in result.isolated_names
         assert "mul1" not in result.isolated_names
 
@@ -124,7 +153,7 @@ class TestAlgorithmBehaviour:
             results["and"].power_reduction, results["latch"].power_reduction
         ) - 0.03
         # Auto actually exercises per-candidate choice on design2.
-        styles_used = {inst.style for inst in results["auto"].instances}
+        styles_used = {t.instance.style for t in results["auto"].transforms}
         assert len(styles_used) >= 1
         report = check_observable_equivalence(
             d2, results["auto"].design, stim(), 1000
@@ -135,8 +164,8 @@ class TestAlgorithmBehaviour:
         result = isolate_design(
             d1, d1_stimulus(d1), IsolationConfig(style="auto", cycles=400)
         )
-        for instance in result.instances:
-            assert instance.style in ("and", "or", "latch")
+        for transform in result.transforms:
+            assert transform.instance.style in ("and", "or", "latch")
 
     def test_max_iterations_bound(self, d1):
         config = IsolationConfig(cycles=300, max_iterations=1)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro.designs as designs
@@ -114,14 +118,38 @@ class TestImportPathStability:
 
     def test_core_paths(self):
         from repro.core import (  # noqa: F401
-            IsolationConfig,
             compare_styles,
             derive_activation_functions,
             find_candidates,
             isolate_candidate,
-            isolate_design,
             rank_candidates,
         )
+        from repro.opt import IsolationConfig, isolate_design  # noqa: F401
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.opt",
+            "repro.opt.framework",
+            "repro.core",
+            "repro.core.report",
+            "repro.baselines.clock_gating",
+            "repro.parallel.scoring",
+            "repro.api",
+            "repro.cli",
+            "repro.serve.jobs",
+        ],
+    )
+    def test_imports_first_in_a_fresh_interpreter(self, module):
+        # repro.opt imports repro.core submodules, so repro.core must not
+        # import repro.opt at module level: any cycle fails here.
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import {module}"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_sim_paths(self):
         from repro.sim import Simulator, simulate  # noqa: F401

@@ -8,6 +8,7 @@ from repro.baselines.manual import manual_mux_isolation
 from repro.boolean.bdd import BddManager
 from repro.boolean.expr import and_, not_, or_, var
 from repro.power.estimator import estimate_power
+from repro.runconfig import RunConfig
 from repro.sim.stimulus import ControlStream, random_stimulus
 from repro.verify import check_observable_equivalence
 
@@ -113,14 +114,16 @@ class TestEnableGating:
             assert equivalent_under(design, result.design)
 
     def test_saves_less_than_operand_isolation_on_fir(self, fir):
-        from repro.core import IsolationConfig, isolate_design
+        from repro.opt import IsolationConfig, isolate_design
 
         overrides = {"BYP": ControlStream(0.9, 0.05)}
 
         def stim():
             return random_stimulus(fir, seed=4, overrides=overrides)
 
-        base = estimate_power(fir, stim(), 1000).total_power_mw
-        gated = estimate_power(enable_gating(fir).design, stim(), 1000).total_power_mw
+        base = estimate_power(fir, stim(), run=RunConfig(cycles=1000)).total_power_mw
+        gated = estimate_power(
+            enable_gating(fir).design, stim(), run=RunConfig(cycles=1000)
+        ).total_power_mw
         ours = isolate_design(fir, stim, IsolationConfig(cycles=500)).final.power_mw
         assert ours < gated < base * 1.02

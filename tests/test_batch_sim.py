@@ -51,7 +51,7 @@ class TestCrossValidation:
 
     def test_broadcast_matches_scalar_on_isolated_design(self):
         """Banks/latches/activation logic also agree lane-for-lane."""
-        from repro.core import IsolationConfig, isolate_design
+        from repro.opt import IsolationConfig, isolate_design
 
         design = design1()
         result = isolate_design(

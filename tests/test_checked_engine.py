@@ -137,7 +137,7 @@ def test_compilation_failure_degrades_to_python(monkeypatch, engine):
 
 
 def test_fallback_reason_lands_in_stage_timings(monkeypatch):
-    from repro.core.algorithm import IsolationConfig, isolate_design
+    from repro.opt import IsolationConfig, isolate_design
 
     monkeypatch.setattr(compile_mod, "CompiledSimulator", _AlwaysFails)
     design = design1()
@@ -156,7 +156,7 @@ def test_fallback_reason_lands_in_stage_timings(monkeypatch):
 
 
 def test_no_fallback_reason_on_healthy_run():
-    from repro.core.algorithm import IsolationConfig, isolate_design
+    from repro.opt import IsolationConfig, isolate_design
 
     design = paper_example()
     config = IsolationConfig(cycles=120, engine="checked")

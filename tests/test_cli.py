@@ -29,7 +29,7 @@ class TestIsolateCommand:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "Operand isolation of 'design1'" in out
+        assert "Low-power optimization of 'design1' (passes=isolation;" in out
         assert "PASSED" in out
 
     def test_netlist_file_with_outputs(self, rtl_file, tmp_path, capsys):
@@ -47,7 +47,7 @@ class TestIsolateCommand:
         )
         assert code == 0
         reloaded = textio.load(str(out_rtl))
-        assert reloaded.name.startswith("tiny_iso")
+        assert reloaded.name == "tiny_opt"
         assert "endmodule" in out_v.read_text()
 
     def test_latch_style_and_weights(self, capsys):
@@ -197,7 +197,8 @@ class TestJsonOutput:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         span_names = {row["name"] for row in payload["spans"]}
-        assert {"isolate", "power.estimate", "score.candidate"} <= span_names
+        assert {"optimize", "power.estimate", "score.candidate"} <= span_names
+        assert not span_names & {"isolate", "isolate.iteration"}
         assert payload["metrics"]
 
     def test_error_leaves_stdout_empty(self, capsys):

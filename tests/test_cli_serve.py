@@ -69,7 +69,7 @@ class TestSubmitCommand:
         )
         assert code == 0
         job = json.loads(capsys.readouterr().out)
-        assert job["result"]["isolated"]
+        assert [t for t in job["result"]["applied"] if t["pass"] == "isolation"]
 
     def test_submit_human_output(self, server, capsys):
         code = main(

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.baselines import clock_gate_registers
-from repro.core import IsolationConfig, isolate_design
 from repro.netlist import textio
+from repro.opt import IsolationConfig, isolate_design
 from repro.power.estimator import PowerEstimator, estimate_power
 from repro.power.library import default_library
+from repro.runconfig import RunConfig
 from repro.sim import ControlStream, random_stimulus
 from repro.sim.engine import Simulator
 from repro.sim.monitor import ToggleMonitor
@@ -49,8 +50,12 @@ class TestTransform:
 class TestPowerModel:
     def test_clock_gating_saves_register_power(self, d1):
         gated = clock_gate_registers(d1).design
-        base = estimate_power(d1, d1_stim(d1), 1500).total_power_mw
-        after = estimate_power(gated, d1_stim(gated), 1500).total_power_mw
+        base = estimate_power(
+            d1, d1_stim(d1), run=RunConfig(cycles=1500)
+        ).total_power_mw
+        after = estimate_power(
+            gated, d1_stim(gated), run=RunConfig(cycles=1500)
+        ).total_power_mw
         assert after < base
 
     def test_savings_scale_with_idle_enable(self, d1):
@@ -61,8 +66,12 @@ class TestPowerModel:
             stim = lambda d: random_stimulus(
                 d, seed=6, control_probability=en_prob, overrides=overrides
             )
-            base = estimate_power(d1, stim(d1), 1200).total_power_mw
-            after = estimate_power(gated, stim(gated), 1200).total_power_mw
+            base = estimate_power(
+                d1, stim(d1), run=RunConfig(cycles=1200)
+            ).total_power_mw
+            after = estimate_power(
+                gated, stim(gated), run=RunConfig(cycles=1200)
+            ).total_power_mw
             return 1 - after / base
 
         assert reduction(0.1) > reduction(0.8)
@@ -82,16 +91,22 @@ class TestComposition:
     def test_isolation_and_clock_gating_compose(self, d1):
         """Both applied saves more than either alone (disjoint targets)."""
         stim = lambda d: d1_stim(d)
-        base = estimate_power(d1, stim(d1), 1200).total_power_mw
+        base = estimate_power(d1, stim(d1), run=RunConfig(cycles=1200)).total_power_mw
 
         cg_only = clock_gate_registers(d1).design
-        cg_power = estimate_power(cg_only, stim(cg_only), 1200).total_power_mw
+        cg_power = estimate_power(
+            cg_only, stim(cg_only), run=RunConfig(cycles=1200)
+        ).total_power_mw
 
         iso = isolate_design(d1, lambda: stim(d1), IsolationConfig(cycles=600))
-        iso_power = estimate_power(iso.design, stim(iso.design), 1200).total_power_mw
+        iso_power = estimate_power(
+            iso.design, stim(iso.design), run=RunConfig(cycles=1200)
+        ).total_power_mw
 
         both = clock_gate_registers(iso.design).design
-        both_power = estimate_power(both, stim(both), 1200).total_power_mw
+        both_power = estimate_power(
+            both, stim(both), run=RunConfig(cycles=1200)
+        ).total_power_mw
 
         assert cg_power < base
         assert iso_power < cg_power  # datapath dominates this design

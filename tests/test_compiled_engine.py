@@ -152,7 +152,7 @@ class TestEnginePlumbing:
         run = RunConfig(cycles=400)
         py = estimate_power(d1, random_stimulus(d1, seed=4), run=run)
         comp = estimate_power(
-            d1, random_stimulus(d1, seed=4), run=run, engine="compiled"
+            d1, random_stimulus(d1, seed=4), run=run.replace(engine="compiled")
         )
         assert py.total_power_mw == pytest.approx(comp.total_power_mw, abs=1e-12)
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.algorithm import IsolationConfig
 from repro.core.report import compare_styles, format_comparison_table
+from repro.opt import IsolationConfig
 from repro.sim.stimulus import ControlStream, random_stimulus
 
 

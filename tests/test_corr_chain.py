@@ -4,10 +4,11 @@ import pytest
 
 from repro.boolean.bdd import BddManager
 from repro.boolean.expr import or_, var
-from repro.core import IsolationConfig, derive_activation_functions, isolate_design
+from repro.core import derive_activation_functions
 from repro.core.candidates import find_candidates
 from repro.core.isolate import isolate_candidate
 from repro.designs import correlated_chain
+from repro.opt import IsolationConfig, isolate_design
 from repro.sim import random_stimulus
 from repro.verify import check_observable_equivalence
 
@@ -51,7 +52,7 @@ class TestCorrelatedChain:
             iterations_of = {
                 name: record.index
                 for record in result.iterations
-                for name in record.isolated
+                for name in [t.target for t in record.applied]
             }
             assert iterations_of["mul0"] != iterations_of["add0"]
         report = check_observable_equivalence(design, result.design, stim(), 1500)

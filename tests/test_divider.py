@@ -4,13 +4,14 @@ import pytest
 
 from repro.boolean.bdd import BddManager
 from repro.boolean.expr import and_, not_, or_, var
-from repro.core import IsolationConfig, derive_activation_functions, isolate_design
+from repro.core import derive_activation_functions
 from repro.core.candidates import find_candidates
 from repro.netlist.arith import Divider
 from repro.netlist.builder import DesignBuilder
 from repro.netlist import textio
 from repro.netlist.design import Design
 from repro.netlist.verilog import to_verilog
+from repro.opt import IsolationConfig, isolate_design
 from repro.sim import ControlStream, random_stimulus
 from repro.sim.engine import Simulator
 from repro.verify import check_observable_equivalence

@@ -3,9 +3,11 @@ configurations, boundary behaviours."""
 
 import pytest
 
-from repro.core import IsolationConfig, compare_styles, isolate_design
+from repro.core import compare_styles
 from repro.core.explore import rank_candidates
 from repro.netlist.builder import DesignBuilder
+from repro.opt import IsolationConfig, isolate_design
+from repro.runconfig import RunConfig
 from repro.sim import SequenceStimulus, random_stimulus
 
 
@@ -55,7 +57,7 @@ class TestDegenerateDesigns:
     def test_rank_handles_no_candidates(self):
         design = moduleless_design()
         ranked = rank_candidates(
-            design, random_stimulus(design, seed=1), cycles=100
+            design, random_stimulus(design, seed=1), run=RunConfig(cycles=100)
         )
         assert ranked == []
 
@@ -90,7 +92,9 @@ class TestConfigurationEdges:
         stim = SequenceStimulus([{"A": 1, "C": 2, "S": 0, "G": 1}])
         from repro.power import estimate_power
 
-        breakdown = estimate_power(tiny_design, stim, 10, warmup=0)
+        breakdown = estimate_power(
+            tiny_design, stim, run=RunConfig(cycles=10, warmup=0)
+        )
         assert breakdown.total_power_mw >= 0
 
     def test_one_cycle_simulation(self, tiny_design):

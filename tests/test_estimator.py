@@ -4,13 +4,14 @@ import pytest
 
 from repro.power.estimator import PowerEstimator, estimate_power
 from repro.power.report import format_power_report
+from repro.runconfig import RunConfig
 from repro.sim.stimulus import ConstantStream, SequenceStimulus, random_stimulus
 
 
 class TestEstimation:
     def test_zero_activity_means_zero_dynamic_power(self, tiny_design):
         stim = SequenceStimulus([{"A": 0, "C": 0, "S": 0, "G": 0}])
-        breakdown = estimate_power(tiny_design, stim, 100)
+        breakdown = estimate_power(tiny_design, stim, run=RunConfig(cycles=100))
         # Only static energy (registers) remains.
         lib = breakdown.library
         static = sum(lib.static_energy(c) for c in tiny_design.cells)
@@ -20,28 +21,30 @@ class TestEstimation:
         quiet = estimate_power(
             tiny_design,
             random_stimulus(tiny_design, seed=0, data_toggle_density=0.05),
-            500,
+            run=RunConfig(cycles=500),
         )
         busy = estimate_power(
             tiny_design,
             random_stimulus(tiny_design, seed=0, data_toggle_density=0.5),
-            500,
+            run=RunConfig(cycles=500),
         )
         assert busy.total_power_mw > quiet.total_power_mw
 
     def test_module_power_dominates_glue(self, d1):
-        breakdown = estimate_power(d1, random_stimulus(d1, seed=1), 500)
+        breakdown = estimate_power(
+            d1, random_stimulus(d1, seed=1), run=RunConfig(cycles=500)
+        )
         module_power = sum(breakdown.module_power_mw().values())
         assert module_power > 0.5 * breakdown.total_power_mw
 
     def test_breakdown_covers_every_cell(self, tiny_design):
         breakdown = estimate_power(
-            tiny_design, random_stimulus(tiny_design, seed=0), 200
+            tiny_design, random_stimulus(tiny_design, seed=0), run=RunConfig(cycles=200)
         )
         assert set(breakdown.energy_per_cell) == set(tiny_design.cells)
 
     def test_group_power_roles(self, d1):
-        from repro.core import IsolationConfig, isolate_design
+        from repro.opt import IsolationConfig, isolate_design
 
         result = isolate_design(
             d1,
@@ -49,21 +52,25 @@ class TestEstimation:
             IsolationConfig(cycles=300),
         )
         breakdown = estimate_power(
-            result.design, random_stimulus(result.design, seed=1), 300
+            result.design,
+            random_stimulus(result.design, seed=1),
+            run=RunConfig(cycles=300),
         )
         assert breakdown.group_power_mw("bank") > 0
         assert breakdown.overhead_power_mw < breakdown.total_power_mw
 
     def test_total_power_is_sum_of_cells(self, tiny_design):
         breakdown = estimate_power(
-            tiny_design, random_stimulus(tiny_design, seed=0), 200
+            tiny_design, random_stimulus(tiny_design, seed=0), run=RunConfig(cycles=200)
         )
         assert breakdown.total_power_mw == pytest.approx(
             sum(breakdown.cell_power_mw(c) for c in tiny_design.cells)
         )
 
     def test_report_formatting(self, d1):
-        breakdown = estimate_power(d1, random_stimulus(d1, seed=1), 200)
+        breakdown = estimate_power(
+            d1, random_stimulus(d1, seed=1), run=RunConfig(cycles=200)
+        )
         text = format_power_report(d1, breakdown)
         assert "total power" in text
         assert "mul0" in text  # hottest cells listed
@@ -78,7 +85,7 @@ class TestAreaReport:
         assert "mul" in text and "reg" in text
 
     def test_overhead_section_after_isolation(self, d1, library):
-        from repro.core import IsolationConfig, isolate_design
+        from repro.opt import IsolationConfig, isolate_design
         from repro.power import format_area_report
 
         result = isolate_design(

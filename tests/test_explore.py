@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.explore import format_ranking, rank_candidates
+from repro.runconfig import RunConfig
 from repro.sim import ControlStream, random_stimulus
 
 
@@ -12,7 +13,7 @@ def ranking(d1):
         d1, seed=6, control_probability=0.3,
         overrides={"EN": ControlStream(0.2, 0.1)},
     )
-    return rank_candidates(d1, stim, cycles=800)
+    return rank_candidates(d1, stim, run=RunConfig(cycles=800))
 
 
 class TestRanking:
@@ -30,7 +31,7 @@ class TestRanking:
         rank_candidates(
             d1,
             random_stimulus(d1, seed=6, control_probability=0.3),
-            cycles=300,
+            run=RunConfig(cycles=300),
         )
         assert d1.stats() == before
 
@@ -54,7 +55,7 @@ class TestRanking:
 
     def test_always_active_marked(self, fir):
         stim = random_stimulus(fir, seed=1)
-        ranked = rank_candidates(fir, stim, cycles=300)
+        ranked = rank_candidates(fir, stim, run=RunConfig(cycles=300))
         assert all(not r.always_active for r in ranked)  # all gated by BYP
 
     def test_format_ranking(self, ranking):
@@ -71,14 +72,18 @@ class TestRanking:
             overrides={"SEL_IN": ControlStream(0.3, 0.2),
                        "G_IN": ControlStream(0.3, 0.2)},
         )
-        blind = rank_candidates(design, stim, cycles=400, lookahead_depth=0)
+        blind = rank_candidates(
+            design, stim, run=RunConfig(cycles=400), lookahead_depth=0
+        )
         assert all(r.always_active for r in blind if r.name == "pmul")
         stim2 = random_stimulus(
             design, seed=2, control_probability=0.3,
             overrides={"SEL_IN": ControlStream(0.3, 0.2),
                        "G_IN": ControlStream(0.3, 0.2)},
         )
-        sighted = rank_candidates(design, stim2, cycles=400, lookahead_depth=1)
+        sighted = rank_candidates(
+            design, stim2, run=RunConfig(cycles=400), lookahead_depth=1
+        )
         pmul = next(r for r in sighted if r.name == "pmul")
         assert not pmul.always_active
         assert pmul.net_mw > 0
@@ -113,7 +118,7 @@ class TestResultSerialisation:
     def test_isolation_result_to_dict(self, d1):
         import json
 
-        from repro.core import IsolationConfig, isolate_design
+        from repro.opt import IsolationConfig, isolate_design
 
         stim = random_stimulus(
             d1, seed=6, control_probability=0.3,
@@ -136,4 +141,4 @@ class TestResultSerialisation:
              "--override", "EN=0.2:0.1", "--verify-cycles", "0", "--json"]
         ) == 0
         data = json.loads(capsys.readouterr().out)
-        assert "isolated" in data and data["power_mw"]["reduction"] > 0
+        assert "applied" in data and data["power_mw"]["reduction"] > 0

@@ -8,11 +8,13 @@ overheads, and sane iteration behaviour.
 
 import pytest
 
-from repro.core import IsolationConfig, compare_styles, isolate_design
+from repro.core import compare_styles
 from repro.netlist import textio
 from repro.netlist.validate import validate_design
 from repro.netlist.verilog import to_verilog
+from repro.opt import IsolationConfig, isolate_design
 from repro.power import estimate_power, format_power_report
+from repro.runconfig import RunConfig
 from repro.sim import ControlStream, random_stimulus
 from repro.verify import check_observable_equivalence
 
@@ -82,7 +84,7 @@ def test_style_comparison_consistency(d1):
 def test_power_report_of_isolated_design_shows_overhead(d1):
     stim = stimulus_for(d1)
     result = isolate_design(d1, stim, IsolationConfig(cycles=500))
-    breakdown = estimate_power(result.design, stim(), 500)
+    breakdown = estimate_power(result.design, stim(), run=RunConfig(cycles=500))
     text = format_power_report(result.design, breakdown)
     assert "isolation banks" in text
     assert breakdown.overhead_power_mw > 0

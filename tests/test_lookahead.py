@@ -4,7 +4,7 @@ import pytest
 
 from repro.boolean.bdd import BddManager
 from repro.boolean.expr import TRUE, and_, not_, or_, var
-from repro.core import IsolationConfig, derive_activation_functions, isolate_design
+from repro.core import derive_activation_functions
 from repro.core.isolate import isolate_candidate
 from repro.core.lookahead import (
     Unpredictable,
@@ -13,6 +13,7 @@ from repro.core.lookahead import (
     register_lookahead_functions,
 )
 from repro.designs import design1, lookahead_pipeline
+from repro.opt import IsolationConfig, isolate_design
 from repro.sim import ControlStream, random_stimulus
 from repro.verify import check_observable_equivalence
 

@@ -20,8 +20,8 @@ import time
 import pytest
 
 from repro import api, obs
-from repro.core.algorithm import IsolationConfig, StageTimings, isolate_design
 from repro.designs import design1
+from repro.opt import IsolationConfig, StageTimings, isolate_design
 from repro.runconfig import RunConfig
 from repro.sim.stimulus import random_stimulus
 
@@ -315,7 +315,8 @@ class TestPipelineTrace:
         roots = recorder.tracer.roots
         names = {s.name for s in obs.iter_spans(roots)}
         assert {
-            "isolate",
+            "optimize",
+            "optimize.iteration",
             "activation",
             "power.estimate",
             "sim.run",
@@ -324,6 +325,7 @@ class TestPipelineTrace:
             "slack.check",
             "bank.insert",
         } <= names
+        assert not names & {"isolate", "isolate.iteration"}
         # One bank.insert span per isolated module, with the candidate named.
         inserts = obs.find_spans(roots, "bank.insert")
         assert sorted(s.attrs["candidate"] for s in inserts) == sorted(
@@ -406,7 +408,22 @@ class TestSessionSurface:
         first = len(session.trace())
         session.isolate()
         assert len(session.trace()) > first
-        assert obs.find_spans(session.trace(), "isolate")
+        assert obs.find_spans(session.trace(), "optimize")
+
+    def test_stage_timings_from_a_multi_run_trace(self):
+        session = api.Session(
+            design1(), run=RunConfig(cycles=300, engine="compiled", trace=True)
+        )
+        first = session.optimize(passes=["isolation"])
+        second = session.optimize(passes=["isolation"])
+        derived = StageTimings.from_spans(session.trace())
+        assert derived.simulations == (
+            first.timings.simulations + second.timings.simulations
+        )
+        assert derived.simulate_s == pytest.approx(
+            first.timings.simulate_s + second.timings.simulate_s, rel=0.25
+        )
+        assert derived.score_s > 0
 
     def test_untraced_session_records_nothing(self):
         session = api.Session(design1(), run=RunConfig(cycles=120))

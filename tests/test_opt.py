@@ -8,16 +8,17 @@ import pytest
 
 from repro import api, obs
 from repro.baselines import clock_gate_registers
-from repro.core import IsolationConfig, StageTimings
 from repro.core.cost import CostWeights
 from repro.designs import soc_datapath
 from repro.errors import IsolationError, ReproError
 from repro.opt import (
     ClockGatingPass,
+    IsolationConfig,
     IsolationPass,
-    OptimizeConfig,
     OptimizeResult,
+    StageTimings,
     available_passes,
+    isolate_design,
     optimize,
     resolve_passes,
 )
@@ -62,8 +63,12 @@ class TestRegistry:
             resolve_passes(bad)
 
     def test_optimize_config_is_isolation_config(self):
-        # One config type drives every pass combination.
-        assert OptimizeConfig is IsolationConfig
+        # One config type drives every pass combination; the package
+        # exports no second name for it.
+        import repro.opt
+
+        assert not hasattr(repro.opt, "OptimizeConfig")
+        assert repro.opt.IsolationConfig is IsolationConfig
 
 
 class TestClockGatingTransform:
@@ -91,10 +96,12 @@ class TestClockGatingTransform:
             clock_gate_registers(d1, registers=["r_tag"])
 
     def test_timings_populated(self, d1):
-        result = clock_gate_registers(d1)
-        assert isinstance(result.timings, StageTimings)
-        assert result.timings.transform_s > 0
-        assert result.timings.simulations == 0
+        # The transform's wall time lives in its clock.gate span.
+        with obs.use(obs.Recorder()) as recorder:
+            clock_gate_registers(d1)
+        (span,) = obs.find_spans(recorder.tracer.roots, "clock.gate")
+        assert span.duration_s > 0
+        assert not obs.find_spans(recorder.tracer.roots, "power.estimate")
 
     def test_transform_emits_span_and_counter(self, d1):
         with obs.use(obs.Recorder()) as recorder:
@@ -106,17 +113,26 @@ class TestClockGatingTransform:
         assert metrics["registers.gated"]["value"] == 4.0
 
     def test_from_spans_counts_clock_gate_as_transform(self, d1):
+        # from_spans reads optimize roots; clock gating inside one counts
+        # as transform time.
         with obs.use(obs.Recorder()) as recorder:
-            clock_gate_registers(d1)
+            optimize(
+                d1, lambda: d1_stim(d1), ["clock_gating"],
+                config=IsolationConfig(cycles=300),
+            )
+        gates = obs.find_spans(recorder.tracer.roots, "clock.gate")
         timings = StageTimings.from_spans(recorder.tracer.roots)
-        assert timings.transform_s > 0
+        assert gates and timings.transform_s > 0
+        assert timings.transform_s == pytest.approx(
+            sum(s.duration_s for s in gates)
+        )
 
 
 class TestClockGatingPass:
     def test_gates_idle_enabled_registers(self, d1):
         result = optimize(
             d1, lambda: d1_stim(d1), ["clock_gating"],
-            config=OptimizeConfig(cycles=600),
+            config=IsolationConfig(cycles=600),
         )
         assert sorted(result.gated_registers) == ["acc", "r0", "r1", "r2"]
         assert result.isolated_names == []
@@ -130,7 +146,7 @@ class TestClockGatingPass:
     def test_free_running_register_reported_once(self, d1):
         result = optimize(
             d1, lambda: d1_stim(d1), ["clock_gating"],
-            config=OptimizeConfig(cycles=400),
+            config=IsolationConfig(cycles=400),
         )
         rejections = [
             name
@@ -146,7 +162,7 @@ class TestClockGatingPass:
         # and stay worthwhile.
         result = optimize(
             d1, lambda: d1_stim(d1, en=1.0), ["clock_gating"],
-            config=OptimizeConfig(cycles=400),
+            config=IsolationConfig(cycles=400),
         )
         assert sorted(result.gated_registers) == ["acc", "r2"]
         scores = result.iterations[0].scores["clock_gating"]
@@ -159,7 +175,7 @@ class TestClockGatingPass:
         """Predicted net savings track the estimator's measured delta."""
         result = optimize(
             d1, lambda: d1_stim(d1), ["clock_gating"],
-            config=OptimizeConfig(cycles=1500),
+            config=IsolationConfig(cycles=1500),
         )
         predicted = sum(t.estimated_net_mw for t in result.transforms)
         measured = result.baseline.power_mw - result.final.power_mw
@@ -168,7 +184,7 @@ class TestClockGatingPass:
     def test_behaviour_unchanged(self, d1):
         result = optimize(
             d1, lambda: d1_stim(d1), ["clock_gating"],
-            config=OptimizeConfig(cycles=400),
+            config=IsolationConfig(cycles=400),
         )
         report = check_observable_equivalence(
             d1, result.design, d1_stim(d1), 1000
@@ -178,7 +194,7 @@ class TestClockGatingPass:
     def test_serialized_scores_in_to_dict(self, d1):
         result = optimize(
             d1, lambda: d1_stim(d1), ["clock_gating"],
-            config=OptimizeConfig(cycles=400),
+            config=IsolationConfig(cycles=400),
         )
         scores = result.to_dict()["iterations"][0]["scores"]["clock_gating"]
         assert {s["register"] for s in scores} == {"acc", "r0", "r1", "r2"}
@@ -191,7 +207,7 @@ class TestClockGatingPass:
 class TestJointSelection:
     def test_passes_share_one_budget(self, d1):
         """A large h_min suppresses both families, not just one."""
-        config = OptimizeConfig(cycles=400, weights=CostWeights(h_min=10.0))
+        config = IsolationConfig(cycles=400, weights=CostWeights(h_min=10.0))
         result = optimize(
             d1, lambda: d1_stim(d1), ["isolation", "clock_gating"], config=config
         )
@@ -201,7 +217,7 @@ class TestJointSelection:
     def test_per_pass_attribution(self, d1):
         result = optimize(
             d1, lambda: d1_stim(d1), ["isolation", "clock_gating"],
-            config=OptimizeConfig(cycles=600),
+            config=IsolationConfig(cycles=600),
         )
         per_pass = result.per_pass_net_mw()
         assert set(per_pass) == {"isolation", "clock_gating"}
@@ -212,7 +228,7 @@ class TestJointSelection:
         only within-iteration application order, never the final design
         (candidate spaces are disjoint and scores come from the shared
         pre-transform measurement)."""
-        config = OptimizeConfig(cycles=500)
+        config = IsolationConfig(cycles=500)
         fwd = optimize(
             d1, lambda: d1_stim(d1), ["isolation", "clock_gating"], config=config
         )
@@ -231,7 +247,7 @@ class TestOptimizeResult:
     def test_to_dict_shape(self, d1):
         result = optimize(
             d1, lambda: d1_stim(d1), ["isolation", "clock_gating"],
-            config=OptimizeConfig(cycles=400),
+            config=IsolationConfig(cycles=400),
         )
         payload = result.to_dict()
         assert payload["passes"] == ["isolation", "clock_gating"]
@@ -244,7 +260,7 @@ class TestOptimizeResult:
     def test_summary_names_every_pass(self, d1):
         result = optimize(
             d1, lambda: d1_stim(d1), ["isolation", "clock_gating"],
-            config=OptimizeConfig(cycles=400),
+            config=IsolationConfig(cycles=400),
         )
         summary = result.summary()
         assert "isolation" in summary and "clock_gating" in summary
@@ -255,7 +271,7 @@ class TestOptimizeResult:
             d1,
             lambda: d1_stim(d1),
             ["clock_gating"],
-            config=OptimizeConfig(cycles=999),
+            config=IsolationConfig(cycles=999),
             run=RunConfig(cycles=150, engine="compiled"),
         )
         assert result.config.cycles == 150
@@ -276,16 +292,52 @@ class TestSessionOptimize:
         session = api.Session(
             d1, stimulus=lambda: d1_stim(d1), run=RunConfig(cycles=300)
         )
-        modern = session.optimize(passes=["isolation"]).to_isolation_result()
+        modern = session.optimize(passes=["isolation"])
         legacy = session.isolate()
         modern_payload = modern.to_dict()
         legacy_payload = legacy.to_dict()
         modern_payload.pop("timings")
         legacy_payload.pop("timings")
-        # Only the working-copy name differs between the spellings.
+        # Both spellings are one run: same working copy, same payload.
         assert modern.design.name == "design1_opt"
-        assert legacy.design.name == "design1_iso_and"
+        assert legacy.design.name == "design1_opt"
         assert canon(modern_payload) == canon(legacy_payload)
+
+    def test_isolate_spellings_return_one_payload(self, d1):
+        config = IsolationConfig(cycles=300, warmup=32, engine="compiled", workers=1)
+        run = RunConfig(cycles=300, warmup=32, engine="compiled", workers=1)
+
+        def stim():
+            return d1_stim(d1)
+
+        results = [
+            isolate_design(d1, stim, config),
+            api.Session(d1, stimulus=stim, run=run).isolate(),
+            optimize(d1, stim, passes=("isolation",), config=config),
+        ]
+        payloads = []
+        for result in results:
+            assert isinstance(result, OptimizeResult)
+            assert result.design.name == "design1_opt"
+            assert result.summary().startswith(
+                "Low-power optimization of 'design1' (passes=isolation;"
+            )
+            payload = result.to_dict()
+            payload.pop("timings")
+            assert set(payload["iterations"][0]["scores"]) == {"isolation"}
+            assert set(payload["iterations"][0]["rejected"]) == {"isolation"}
+            assert {t["pass"] for t in payload["applied"]} == {"isolation"}
+            payloads.append(canon(payload))
+        assert payloads[0] == payloads[1] == payloads[2]
+
+    def test_summary_reports_pool_utilization(self, d1):
+        result = optimize(
+            d1, lambda: d1_stim(d1), ["isolation"],
+            config=IsolationConfig(cycles=200, engine="compiled", workers=2),
+        )
+        tasks = result.timings.parallel_tasks
+        assert tasks > 0
+        assert f"pool   : {tasks} tasks, " in result.summary()
 
     def test_traced_session_records_optimize_spans(self, d1):
         session = api.Session(

@@ -15,7 +15,7 @@ import os
 
 import pytest
 
-from repro.core import IsolationConfig
+from repro.opt import IsolationConfig
 from repro.designs import lookahead_pipeline, soc_datapath
 from repro.opt import optimize
 from repro.sim import ControlStream, random_stimulus

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import IsolationConfig, isolate_design
 from repro.core.oracle import potential_savings
+from repro.opt import IsolationConfig, isolate_design
 from repro.sim import ControlStream, random_stimulus
 
 

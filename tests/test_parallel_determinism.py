@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.boolean.expr import var
-from repro.core.algorithm import IsolationConfig, isolate_design
 from repro.core.explore import rank_candidates
 from repro.core.report import compare_styles
 from repro.designs import (
@@ -31,6 +30,7 @@ from repro.designs import (
     shared_bus_datapath,
     soc_datapath,
 )
+from repro.opt import IsolationConfig, isolate_design
 from repro.parallel import run_batch_sharded
 from repro.power.estimator import estimate_power_ci
 from repro.runconfig import RunConfig
@@ -145,12 +145,12 @@ def test_isolate_design_bit_exact_across_workers(maker):
         serial_scores = [
             (s.candidate.name, s.savings.style, s.h, s.savings.net_mw)
             for it in serial.iterations
-            for s in it.scores
+            for s in it.scores.get("isolation", [])
         ]
         pooled_scores = [
             (s.candidate.name, s.savings.style, s.h, s.savings.net_mw)
             for it in pooled.iterations
-            for s in it.scores
+            for s in it.scores.get("isolation", [])
         ]
         assert pooled_scores == serial_scores
         assert pooled.timings.workers == workers
@@ -164,7 +164,7 @@ def test_isolate_design_transforms_live_design_under_pool():
     result = _iso(design, 2, style="and")
     assert result.original is design
     assert result.design.name.startswith(design.name)
-    for inst in result.instances:
+    for inst in [t.instance for t in result.transforms]:
         assert inst.candidate in result.design.cells
 
 

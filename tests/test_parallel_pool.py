@@ -15,9 +15,9 @@ import os
 
 import pytest
 
-from repro.core.algorithm import IsolationConfig, isolate_design
 from repro.designs import design1
 from repro.errors import ReproError
+from repro.opt import IsolationConfig, isolate_design
 from repro.parallel import WorkerPool, available_cpus, default_workers, resolve_workers
 from repro.sim.stimulus import random_stimulus
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.power.estimator import estimate_power
 from repro.power.profile import PowerProfileMonitor
+from repro.runconfig import RunConfig
 from repro.sim.engine import simulate
 from repro.sim.stimulus import ControlStream, SequenceStimulus, random_stimulus
 
@@ -27,7 +28,7 @@ class TestPowerProfile:
         stim = random_stimulus(d1, seed=3)
         simulate(d1, stim, 500, monitors=[monitor])
         average = estimate_power(
-            d1, random_stimulus(d1, seed=3), 500, warmup=0
+            d1, random_stimulus(d1, seed=3), run=RunConfig(cycles=500, warmup=0)
         ).total_power_mw
         assert monitor.mean_mw == pytest.approx(average, rel=0.05)
 
@@ -42,7 +43,7 @@ class TestPowerProfile:
 
     def test_profile_tracks_activity_bursts(self, d1):
         """Windows during idle EN stretches burn less in the isolated design."""
-        from repro.core import IsolationConfig, isolate_design
+        from repro.opt import IsolationConfig, isolate_design
 
         def stim():
             return random_stimulus(

@@ -15,6 +15,7 @@ from repro.netlist import textio
 from repro.netlist.compose import merge_designs
 from repro.power.estimator import estimate_power
 from repro.power.library import default_library
+from repro.runconfig import RunConfig
 from repro.sim.engine import Simulator
 from repro.sim.stimulus import random_stimulus
 from repro.timing.sta import analyze_timing
@@ -37,7 +38,9 @@ def test_simulated_values_respect_widths(seed):
 @given(seed=st.integers(0, 500))
 def test_power_is_nonnegative_and_finite(seed):
     design = random_datapath(seed=seed, layers=2, modules_per_layer=3)
-    breakdown = estimate_power(design, random_stimulus(design, seed=1), 200)
+    breakdown = estimate_power(
+        design, random_stimulus(design, seed=1), run=RunConfig(cycles=200)
+    )
     assert breakdown.total_power_mw >= 0
     for cell, energy in breakdown.energy_per_cell.items():
         assert energy >= 0, cell.name

@@ -15,9 +15,10 @@ Over seeded random datapaths and random control statistics:
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import IsolationConfig, derive_activation_functions, isolate_design
+from repro.core import derive_activation_functions
 from repro.designs import random_datapath
 from repro.netlist.validate import validate_design
+from repro.opt import IsolationConfig, isolate_design
 from repro.sim.engine import Simulator
 from repro.sim.probes import ProbeSet
 from repro.sim.stimulus import random_stimulus

@@ -20,7 +20,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import IsolationConfig
+from repro.opt import IsolationConfig
 from repro.netlist.builder import DesignBuilder
 from repro.netlist.validate import validate_design
 from repro.opt import optimize

@@ -17,7 +17,7 @@ import os
 import pytest
 
 import repro.designs as designs
-from repro.core import IsolationConfig
+from repro.opt import IsolationConfig
 from repro.opt import optimize
 from repro.sim.compile import design_fingerprint
 from repro.sim.stimulus import random_stimulus

@@ -34,7 +34,7 @@ from repro.netlist import textio
 from repro.runconfig import RunConfig
 from repro.serve import DONE, FAILED, CANCELLED, QUEUED, JobService
 from repro.serve.cache import ResultCache, job_cache_key
-from repro.serve.jobs import METHODS, _result_estimate, _result_isolate
+from repro.serve.jobs import METHODS, _result_estimate
 
 RUN = {"cycles": 150, "warmup": 8, "engine": "compiled", "workers": 1}
 
@@ -219,6 +219,76 @@ class TestResultCache:
         key = job_cache_key("estimate", "d" * 64, "r" * 64, {"b": 1, "a": 2})
         same = job_cache_key("estimate", "d" * 64, "r" * 64, {"a": 2, "b": 1})
         assert key == same and len(key) == 64
+
+
+class TestIsolatePreset:
+    """``isolate`` is ``optimize`` with the isolation pass alone."""
+
+    def test_isolate_returns_the_optimize_bytes_and_shares_its_key(self, fig1):
+        service = make_service()
+        try:
+            text = textio.dumps(fig1)
+            iso = service.wait(
+                service.submit(
+                    "isolate", design=text, run=RUN, params={"style": "and"}
+                ).id,
+                timeout=120,
+            )
+            opt = service.submit(
+                "optimize",
+                design=text,
+                run=RUN,
+                params={"style": "and", "passes": ["isolation"]},
+            )
+            assert iso.state == DONE and not iso.cached
+            assert opt.cached and opt.cache_key == iso.cache_key
+            assert canon(opt.result) == canon(iso.result)
+            assert iso.result["passes"] == ["isolation"]
+            assert [t["pass"] for t in iso.result["applied"]] == ["isolation"]
+        finally:
+            service.shutdown()
+
+    def test_a_blob_in_the_old_shape_is_never_served(self, fig1):
+        from repro.sim.compile import design_fingerprint
+
+        service = make_service(start=False)
+        old_key = job_cache_key(
+            "isolate",
+            design_fingerprint(fig1),
+            RunConfig(**RUN).fingerprint(),
+            {"style": "and"},
+        )
+        service.cache.put(old_key, {"design": "paper_fig1", "isolated": ["a1"]})
+        job = service.submit(
+            "isolate", builtin="fig1", run=RUN, params={"style": "and"}
+        )
+        assert job.cache_key != old_key
+        assert not job.cached
+        service.start()
+        job = service.wait(job.id, timeout=120)
+        assert job.state == DONE
+        assert "isolated" not in job.result and job.result["applied"]
+        service.shutdown()
+
+    def test_the_method_fixes_the_pass_list(self, fig1):
+        # A replayed journal entry carries only the method and its own
+        # params; the preset supplies the pass list.
+        from repro.serve.supervisor import run_job_payload
+
+        payload = run_job_payload(
+            {
+                "method": "isolate",
+                "design_text": textio.dumps(fig1),
+                "run": RUN,
+                "params": {"style": "and"},
+            }
+        )
+        assert payload["passes"] == ["isolation"]
+        assert payload == direct_payload(
+            "optimize",
+            textio.loads(textio.dumps(fig1)),
+            {"style": "and", "passes": ["isolation"]},
+        )
 
 
 class TestBackpressure:

@@ -86,7 +86,7 @@ class TestCriticalPath:
             assert report.worst_slack == pytest.approx(0.0, abs=1e-9)
 
     def test_isolation_reduces_slack(self, d1, library):
-        from repro.core import IsolationConfig, isolate_design
+        from repro.opt import IsolationConfig, isolate_design
         from repro.sim import random_stimulus
 
         baseline = analyze_timing(d1, library)

@@ -1,7 +1,7 @@
 """Unit tests for Verilog export."""
 
-from repro.core import IsolationConfig, isolate_design
 from repro.netlist.verilog import to_verilog
+from repro.opt import IsolationConfig, isolate_design
 from repro.sim import random_stimulus
 
 
