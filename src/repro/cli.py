@@ -89,6 +89,7 @@ from repro.core import (
     format_comparison_table,
 )
 from repro.core.cost import CostWeights
+from repro.designs import BUILTINS, builtin_design
 from repro.errors import ReproError
 from repro.netlist import textio
 from repro.netlist.design import Design
@@ -116,29 +117,9 @@ def _info(args: argparse.Namespace, message: str) -> None:
     print(message, file=stream, flush=True)
 
 
-_BUILTINS = {
-    "fig1": "paper_example",
-    "design1": "design1",
-    "design2": "design2",
-    "fir": "fir_datapath",
-    "alu": "alu_control_dominated",
-    "bus": "shared_bus_datapath",
-    "pipeline": "lookahead_pipeline",
-}
-
-
 def _load_design(args: argparse.Namespace) -> Design:
     if args.builtin:
-        import repro.designs as designs
-
-        try:
-            maker = getattr(designs, _BUILTINS[args.builtin])
-        except KeyError:
-            raise ReproError(
-                f"unknown builtin {args.builtin!r}; choose from "
-                f"{sorted(_BUILTINS)}"
-            ) from None
-        return maker()
+        return builtin_design(args.builtin)
     if args.netlist:
         return textio.load(args.netlist)
     raise ReproError("provide a netlist file or --builtin NAME")
@@ -198,7 +179,7 @@ def _parse_workers(value: str) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("netlist", nargs="?", help="textual netlist (.rtl) file")
-    parser.add_argument("--builtin", help=f"built-in design: {sorted(_BUILTINS)}")
+    parser.add_argument("--builtin", help=f"built-in design: {sorted(BUILTINS)}")
     parser.add_argument("--seed", type=int, default=0, help="stimulus seed")
     parser.add_argument(
         "--cycles", type=int, default=2000, help="simulation cycles per run"
@@ -208,8 +189,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         choices=list(ENGINES),
         default="python",
         help=(
-            "simulation backend (compiled and bitslice are bit-exact "
-            "and much faster; bitslice packs batch lanes into bigints)"
+            "simulation backend (all bit-exact; compiled is much faster "
+            "than python; bitslice packs batch lanes into bigints and "
+            "runs the compiled kernel on a single stream)"
         ),
     )
     parser.add_argument(
@@ -896,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="structural validation (and optional fault campaign)"
     )
     validate.add_argument("netlist", nargs="?", help="textual netlist (.rtl) file")
-    validate.add_argument("--builtin", help=f"built-in design: {sorted(_BUILTINS)}")
+    validate.add_argument("--builtin", help=f"built-in design: {sorted(BUILTINS)}")
     validate.add_argument(
         "--allow-dangling",
         action="store_true",

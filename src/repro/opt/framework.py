@@ -94,8 +94,10 @@ class IsolationConfig:
     engine:
         Simulation backend for every estimation run: ``"python"`` (the
         reference interpreter), ``"compiled"`` (the pre-bound kernel
-        backend of :mod:`repro.sim.compile`; bit-exact, much faster) or
-        ``"checked"`` (compiled + reference in lockstep with periodic
+        backend of :mod:`repro.sim.compile`; bit-exact, much faster),
+        ``"bitslice"`` (a batch engine; these single-stream runs use the
+        compiled kernel, with identical results) or ``"checked"``
+        (compiled + reference in lockstep with periodic
         cross-comparison; raises on any divergence).
     workers:
         Process-pool width for the per-candidate scoring stage

@@ -10,9 +10,10 @@ and ``compare_styles``:
 * ``engine`` — ``"python"`` (the reference interpreter), ``"compiled"``
   (the pre-bound kernel backend of :mod:`repro.sim.compile`; bit-exact,
   much faster), ``"bitslice"`` (the lane-packed bigint kernel of
-  :mod:`repro.sim.bitslice`; bit-exact, fastest for batch workloads) or
-  ``"checked"`` (two engines run in lockstep with periodic
-  cross-comparison; see :mod:`repro.sim.checked`);
+  :mod:`repro.sim.bitslice` for batch runs, the compiled kernel for
+  single-stream runs; bit-exact, fastest for batch workloads) or
+  ``"checked"`` (compiled and reference engines in lockstep with
+  periodic cross-comparison; see :mod:`repro.sim.checked`);
 * ``workers`` — process-pool width for the parallel execution layer
   (:mod:`repro.parallel`): ``1`` = serial, ``0`` = one worker per CPU,
   ``n > 1`` = a pool of ``n`` processes. Defaults to the
@@ -62,12 +63,13 @@ class RunConfig:
         ``"python"``, ``"compiled"``, ``"bitslice"`` or ``"checked"`` —
         which simulation backend runs the netlist. ``"compiled"`` is
         bit-exact with the python reference and much faster;
-        ``"bitslice"`` packs stimulus lanes into Python bigints and is
-        the fastest batch backend (see ``docs/bitslice.md``);
-        ``"checked"`` runs two engines in lockstep and raises
-        :class:`~repro.errors.EquivalenceError` if they ever disagree
-        (differential self-checking at roughly the combined cost of the
-        two engines).
+        ``"bitslice"`` packs batch lanes into Python bigints and is the
+        fastest batch backend, while single-stream runs use the compiled
+        kernel with bit-identical results (see ``docs/bitslice.md``);
+        ``"checked"`` runs the compiled and reference engines in
+        lockstep and raises :class:`~repro.errors.EquivalenceError` if
+        they ever disagree (differential self-checking at roughly the
+        combined cost of the two engines).
     workers:
         Process-pool width for candidate scoring / style comparison /
         sharded batch runs: ``1`` = serial, ``0`` = auto (one worker per

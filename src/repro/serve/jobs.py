@@ -63,6 +63,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.api import Session
+from repro.designs import builtin_design
 from repro.diagnostics import Diagnostic, errors_only
 from repro.errors import (
     JobDeadlineError,
@@ -272,25 +273,6 @@ def _validate_params(method: str, params: dict) -> dict:
         if value < 0:
             raise ServeError(f"{key} must be >= 0, got {value}")
     return params
-
-
-def _builtin_design(name: str) -> Design:
-    """Resolve a builtin design name (generator name or CLI alias)."""
-    import repro.designs as designs
-
-    aliases = {
-        "fig1": "paper_example",
-        "fir": "fir_datapath",
-        "alu": "alu_control_dominated",
-        "bus": "shared_bus_datapath",
-        "pipeline": "lookahead_pipeline",
-        "soc": "soc_datapath",
-        "cordic": "cordic_pipeline",
-    }
-    target = aliases.get(name, name)
-    if target not in designs.__all__ or target == "random_datapath":
-        raise ServeError(f"unknown builtin design {name!r}")
-    return getattr(designs, target)()
 
 
 def _error_payload(exc: BaseException, code: Optional[str] = None) -> dict:
@@ -721,9 +703,13 @@ class JobService:
             raise ServeError(f"timeout_s must be > 0, got {timeout_s}")
         if max_attempts is not None and int(max_attempts) < 1:
             raise ServeError(f"max_attempts must be >= 1, got {max_attempts}")
-        design_obj = (
-            textio.loads(design) if design is not None else _builtin_design(builtin)
-        )
+        if design is not None:
+            design_obj = textio.loads(design)
+        else:
+            try:
+                design_obj = builtin_design(builtin)
+            except ReproError as exc:
+                raise ServeError(str(exc)) from None
         stimulus_spec = normalize_stimulus_spec(stimulus)  # raises StimulusError
         run_cfg = self.default_run
         if run:

@@ -27,7 +27,6 @@ from repro.sim.bitslice import (
     BitsliceBatchKernel,
     BitsliceCache,
     BitsliceProgram,
-    BitsliceSimulator,
     bitslice_cache,
     compile_bitslice,
     pack_lanes,
@@ -78,7 +77,6 @@ __all__ = [
     "compile_design",
     "design_structure_hash",
     "program_cache",
-    "BitsliceSimulator",
     "BitsliceBatchKernel",
     "BitsliceProgram",
     "BitsliceCache",

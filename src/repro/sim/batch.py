@@ -357,17 +357,19 @@ class BatchCheckpoint:
 class BatchSimulator:
     """N-replication vectorized counterpart of :class:`~repro.sim.engine.Simulator`.
 
-    With ``engine="compiled"`` the settle phase runs through a list of
-    pre-bound per-cell closures (nets, masks and operand order resolved
-    once at construction) instead of re-dispatching through the
-    ``isinstance`` chain of :meth:`_evaluate` on every cell of every
-    cycle. With ``engine="bitslice"`` the whole batch runs through the
-    lane-packed bigint kernel of :mod:`repro.sim.bitslice`: replications
-    map 1:1 onto bit lanes (``lane_width`` per word, default 64), so a
-    two-input gate costs a couple of bigint ops for the entire batch.
-    All engines are bit-exact with each other; if the bitslice lowering
-    rejects the design, construction degrades to ``"compiled"`` with a
-    ``RuntimeWarning`` and a recorded :attr:`fallback_reason`.
+    With ``engine="python"`` or ``engine="compiled"`` (one numpy
+    backend under two names) the settle phase runs through a list of
+    pre-bound per-cell closures: nets, masks and operand order are
+    resolved once at construction, and each closure is one numpy word
+    op across all replications. With ``engine="bitslice"`` the whole
+    batch runs through the lane-packed bigint kernel of
+    :mod:`repro.sim.bitslice`: replications map 1:1 onto bit lanes
+    (``lane_width`` per word, default 64), so a two-input gate costs a
+    couple of bigint ops for the entire batch. All engines are bit-exact
+    with the python reference :class:`~repro.sim.engine.Simulator`; if
+    the bitslice lowering rejects the design, construction degrades to
+    ``"compiled"`` with a ``RuntimeWarning`` and a recorded
+    :attr:`fallback_reason`.
     """
 
     #: Set when a requested engine could not be built and a slower one
@@ -438,8 +440,8 @@ class BatchSimulator:
         ]
         self._kernels = (
             [k for k in map(self._bind_kernel, self._order) if k is not None]
-            if engine == "compiled"
-            else None
+            if self._bskernel is None
+            else []
         )
         self.reset()
 
@@ -481,13 +483,9 @@ class BatchSimulator:
                 raise SimulationError(
                     f"batch stimulus provides no value for input {pi.name!r}"
                 ) from None
-        if self._kernels is not None:
-            values, state = self.values, self.state
-            for kernel in self._kernels:
-                kernel(values, state)
-        else:
-            for cell in self._order:
-                self._evaluate(cell)
+        values, state = self.values, self.state
+        for kernel in self._kernels:
+            kernel(values, state)
         return self.values
 
     def commit(self) -> None:
@@ -688,111 +686,15 @@ class BatchSimulator:
         self.state = {cell: arr.copy() for cell, arr in checkpoint.state.items()}
 
     # ------------------------------------------------------------------
-    def _evaluate(self, cell: Cell) -> None:
-        values = self.values
-        if isinstance(cell, Adder):
-            out = cell.net("Y")
-            values[out] = (values[cell.net("A")] + values[cell.net("B")]) & _mask(out)
-        elif isinstance(cell, Subtractor):
-            out = cell.net("Y")
-            values[out] = (values[cell.net("A")] - values[cell.net("B")]) & _mask(out)
-        elif isinstance(cell, (Multiplier,)):
-            out = cell.net("Y")
-            values[out] = (values[cell.net("A")] * values[cell.net("B")]) & _mask(out)
-        elif isinstance(cell, MacUnit):
-            out = cell.net("Y")
-            values[out] = (
-                values[cell.net("A")] * values[cell.net("B")] + values[cell.net("C")]
-            ) & _mask(out)
-        elif isinstance(cell, Divider):
-            q_net, r_net = cell.net("Y"), cell.net("R")
-            a, b = values[cell.net("A")], values[cell.net("B")]
-            safe = np.where(b == 0, np.uint64(1), b)
-            quotient = np.where(b == 0, np.uint64(q_net.mask), a // safe)
-            remainder = np.where(b == 0, a, a % safe)
-            values[q_net] = quotient & _mask(q_net)
-            values[r_net] = remainder & _mask(r_net)
-        elif isinstance(cell, Comparator):
-            a, b = values[cell.net("A")], values[cell.net("B")]
-            op = cell.op
-            result = {
-                "eq": a == b, "ne": a != b, "lt": a < b,
-                "le": a <= b, "gt": a > b, "ge": a >= b,
-            }[op]
-            values[cell.net("Y")] = result.astype(np.uint64)
-        elif isinstance(cell, Shifter):
-            out = cell.net("Y")
-            a = values[cell.net("A")]
-            amount = np.minimum(values[cell.net("B")], np.uint64(63))
-            if cell.direction == "left":
-                values[out] = (a << amount) & _mask(out)
-            else:
-                values[out] = (a >> amount) & _mask(out)
-        elif isinstance(cell, Mux):
-            out = cell.net("Y")
-            sel = values[cell.net("S")] % np.uint64(cell.n_inputs)
-            result = values[cell.net("D0")].copy()
-            for i in range(1, cell.n_inputs):
-                result = np.where(sel == i, values[cell.net(f"D{i}")], result)
-            values[out] = result & _mask(out)
-        elif isinstance(cell, AndGate):
-            out = cell.net("Y")
-            values[out] = values[cell.net("A")] & values[cell.net("B")]
-        elif isinstance(cell, OrGate):
-            out = cell.net("Y")
-            values[out] = values[cell.net("A")] | values[cell.net("B")]
-        elif isinstance(cell, XorGate):
-            out = cell.net("Y")
-            values[out] = values[cell.net("A")] ^ values[cell.net("B")]
-        elif isinstance(cell, NandGate):
-            out = cell.net("Y")
-            values[out] = ~(values[cell.net("A")] & values[cell.net("B")]) & _mask(out)
-        elif isinstance(cell, NorGate):
-            out = cell.net("Y")
-            values[out] = ~(values[cell.net("A")] | values[cell.net("B")]) & _mask(out)
-        elif isinstance(cell, XnorGate):
-            out = cell.net("Y")
-            values[out] = ~(values[cell.net("A")] ^ values[cell.net("B")]) & _mask(out)
-        elif isinstance(cell, NotGate):
-            out = cell.net("Y")
-            values[out] = ~values[cell.net("A")] & _mask(out)
-        elif isinstance(cell, Buffer):
-            values[cell.net("Y")] = values[cell.net("A")]
-        elif isinstance(cell, BitSelect):
-            values[cell.net("Y")] = (
-                values[cell.net("A")] >> np.uint64(cell.bit)
-            ) & np.uint64(1)
-        elif isinstance(cell, (AndBank, OrBank)):
-            out = cell.net("Y")
-            enable = values[cell.net("EN")].astype(bool)
-            d = values[cell.net("D")]
-            if isinstance(cell, AndBank):
-                values[out] = np.where(enable, d, np.uint64(0)).astype(np.uint64)
-            else:
-                values[out] = np.where(enable, d, _mask(out)).astype(np.uint64)
-        elif isinstance(cell, (TransparentLatch, LatchBank)):
-            out_port = cell.output_ports[0]
-            out = cell.net(out_port)
-            enable_port = "G" if isinstance(cell, TransparentLatch) else "EN"
-            enable = values[cell.net(enable_port)].astype(bool)
-            d = values[cell.net("D")] & _mask(out)
-            values[out] = np.where(enable, d, self.state[cell]).astype(np.uint64)
-        elif isinstance(cell, Constant):
-            pass  # set at reset
-        else:
-            raise SimulationError(
-                f"batch engine has no implementation for cell kind {cell.kind!r}"
-            )
-
-    # ------------------------------------------------------------------
     def _bind_kernel(self, cell: Cell):
-        """Pre-bound settle closure for one cell (``engine="compiled"``).
+        """Pre-bound settle closure for one cell (numpy engines).
 
         Resolves nets, masks, operand order and the cell-kind dispatch
         once; the returned closure only indexes the live ``values`` /
         ``state`` dicts (which :meth:`reset` replaces, hence they are
         parameters rather than captures). Returns ``None`` for inert
-        cells. Semantics mirror :meth:`_evaluate` exactly.
+        cells. Semantics mirror :meth:`~repro.netlist.cells.Cell.evaluate`
+        lane by lane.
         """
         if isinstance(cell, Constant):
             return None

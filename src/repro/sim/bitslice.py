@@ -21,20 +21,19 @@ Lowering supports the full shipped cell library (gates, banks, muxes,
 adders/subtractors, comparators, shifters, multipliers/MACs, dividers,
 registers, latches). Unknown cell kinds and nets wider than
 :data:`MAX_SLICE_WIDTH` raise :class:`~repro.errors.CompilationError`;
-callers (:func:`repro.sim.engine.make_simulator`,
-:class:`~repro.sim.batch.BatchSimulator`) degrade to the compiled
-engine with a recorded ``fallback_reason``.
+:class:`~repro.sim.batch.BatchSimulator` then degrades to the compiled
+batch engine with a recorded ``fallback_reason``.
 
-Two consumers:
-
-* :class:`BitsliceSimulator` — scalar (one lane, ``LM == 1``) drop-in
-  for :class:`~repro.sim.engine.Simulator`, used by ``engine="bitslice"``
-  and the ``engine="checked"`` cross-check.
-* :class:`BitsliceBatchKernel` — the lane-packed engine behind
-  ``BatchSimulator(engine="bitslice")``: ``batch_size`` lanes split
-  into words of ``lane_width`` (default 64) lanes each, feeding the
-  existing :class:`~repro.sim.batch.BatchToggleMonitor` /
-  :class:`~repro.sim.batch.BatchProbe` statistics unchanged.
+This is a batch engine only. Its one consumer is
+:class:`BitsliceBatchKernel`, the lane-packed engine behind
+``BatchSimulator(engine="bitslice")``: ``batch_size`` lanes split into
+words of ``lane_width`` (default 64) lanes each, feeding the existing
+:class:`~repro.sim.batch.BatchToggleMonitor` /
+:class:`~repro.sim.batch.BatchProbe` statistics unchanged. A scalar
+``engine="bitslice"`` run uses the compiled kernel
+(:func:`repro.sim.engine.make_simulator`). The lowering is checked
+against the python reference through one-lane and few-lane broadcast
+batches, net by net and cycle by cycle.
 """
 
 from __future__ import annotations
@@ -77,9 +76,6 @@ from repro.netlist.ports import Constant, PrimaryInput, PrimaryOutput
 from repro.netlist.seq import Register, TransparentLatch
 from repro.netlist.traversal import combinational_order
 from repro.sim.compile import design_structure_hash
-from repro.sim.engine import SimulationResult
-from repro.sim.monitor import Monitor, ToggleMonitor
-from repro.sim.stimulus import Stimulus
 
 #: Widest net the bit-sliced lowering accepts (one plane per bit).
 MAX_SLICE_WIDTH = 64
@@ -130,11 +126,6 @@ def unpack_lanes(planes: Sequence[int], n: int) -> np.ndarray:
     bits = np.unpackbits(buf, axis=0, bitorder="little")[:n]  # (n, width)
     weights = np.uint64(1) << np.arange(width, dtype=np.uint64)
     return (bits.astype(np.uint64) * weights).sum(axis=1).astype(np.uint64)
-
-
-def pack_scalar(value: int, width: int) -> List[int]:
-    """Single-lane packing (``LM == 1``): one 0/1 plane per bit."""
-    return [(value >> b) & 1 for b in range(width)]
 
 
 # ----------------------------------------------------------------------
@@ -843,176 +834,6 @@ def _ripple_increment(counters: List[int], delta: int) -> None:
         if not delta:
             return
     counters.append(delta)
-
-
-# ----------------------------------------------------------------------
-# The scalar simulator (one lane, LM == 1)
-# ----------------------------------------------------------------------
-class _SliceValues(Mapping):
-    """Read-only ``Mapping[Net, int]`` view reassembled from bit planes."""
-
-    __slots__ = ("_planes", "_index")
-
-    def __init__(self, planes: List[int], index: Dict[Net, Tuple[int, int]]):
-        self._planes = planes
-        self._index = index
-
-    def __getitem__(self, net: Net) -> int:
-        off, width = self._index[net]
-        v = self._planes
-        value = 0
-        for b in range(width):
-            if v[off + b]:
-                value |= 1 << b
-        return value
-
-    def __iter__(self):
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-
-class BitsliceSimulator:
-    """Scalar (single-lane) bit-sliced counterpart of :class:`Simulator`.
-
-    Exists for engine parity: ``engine="bitslice"`` must be expressible
-    everywhere ``engine="compiled"`` is, including the scalar
-    :func:`~repro.sim.engine.make_simulator` path and the
-    ``engine="checked"`` lockstep cross-check. The lane-parallel speedup
-    lives in :class:`BitsliceBatchKernel`.
-    """
-
-    #: Mirrors Simulator.fallback_reason for interface uniformity.
-    fallback_reason = None
-
-    def __init__(
-        self,
-        design: Design,
-        program: Optional[BitsliceProgram] = None,
-        cache: Optional[BitsliceCache] = None,
-    ) -> None:
-        self.design = design
-        if program is None:
-            program = (cache or bitslice_cache()).get(design)
-        self.program = program
-        self._v: List[int] = program.reset_planes(1)
-        self._s: List[int] = program.reset_state(1)
-        self._index = {
-            design.net(name): (off, program.plane_width[name])
-            for name, off in program.plane_offset.items()
-        }
-        self.values = _SliceValues(self._v, self._index)
-        self.cycle = 0
-
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Return to the power-on state (registers/latches at reset values)."""
-        self.cycle = 0
-        self._v[:] = self.program.reset_planes(1)
-        self._s[:] = self.program.reset_state(1)
-
-    # ------------------------------------------------------------------
-    def step(self, pi_values: Mapping[str, int]) -> Mapping[Net, int]:
-        """Simulate one clock cycle; returns the settled net values."""
-        pi: Dict[str, List[int]] = {}
-        for name, _base, width in self.program.pi_info:
-            try:
-                value = pi_values[name]
-            except KeyError:
-                raise SimulationError(
-                    f"stimulus provides no value for primary input {name!r} "
-                    f"at cycle {self.cycle}"
-                ) from None
-            pi[name] = pack_scalar(int(value), width)
-        self.program.step(self._v, self._s, pi, 1, self.program.helpers)
-        return self.values
-
-    def commit(self) -> None:
-        """Clock edge: registers and latches capture their next state."""
-        self.program.commit(self._v, self._s, 1)
-        self.cycle += 1
-
-    # ------------------------------------------------------------------
-    def state_items(self) -> List[Tuple[str, int]]:
-        """(cell name, state value) pairs for cross-engine comparison."""
-        return [
-            (name, self.state_value(name)) for name in self.program.state_offset
-        ]
-
-    def state_value(self, name: str) -> int:
-        off, width = self.program.state_offset[name]
-        s = self._s
-        value = 0
-        for b in range(width):
-            if s[off + b]:
-                value |= 1 << b
-        return value
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        stimulus: Stimulus,
-        cycles: int,
-        monitors: Optional[Sequence[Monitor]] = None,
-        warmup: int = 0,
-    ) -> SimulationResult:
-        """Run ``cycles`` cycles, feeding ``stimulus`` and updating monitors."""
-        with obs.span(
-            "sim.run",
-            "sim",
-            engine="bitslice",
-            design=self.design.name,
-            cycles=cycles,
-            warmup=warmup,
-        ):
-            obs.counter("lanes.packed").inc()
-            return self._run(stimulus, cycles, monitors, warmup)
-
-    def _run(
-        self,
-        stimulus: Stimulus,
-        cycles: int,
-        monitors: Optional[Sequence[Monitor]] = None,
-        warmup: int = 0,
-    ) -> SimulationResult:
-        monitors = list(monitors or [])
-        fast = [m for m in monitors if type(m) is ToggleMonitor]
-        generic = [m for m in monitors if type(m) is not ToggleMonitor]
-        for monitor in monitors:
-            monitor.begin(self.design)
-        n = self.program.n_planes
-        tcnt = [0] * n
-        ocnt = [0] * n
-        prev: Optional[List[int]] = None
-        observed = 0
-        for i in range(warmup + cycles):
-            self.step(stimulus.values(self.cycle))
-            if i >= warmup:
-                if fast:
-                    v = self._v
-                    if prev is not None:
-                        for idx in range(n):
-                            x = v[idx]
-                            tcnt[idx] += prev[idx] ^ x
-                            ocnt[idx] += x
-                    else:
-                        for idx in range(n):
-                            ocnt[idx] += v[idx]
-                    prev = v.copy()
-                    observed += 1
-                for monitor in generic:
-                    monitor.observe(self.cycle, self.values)
-            self.commit()
-        for monitor in fast:
-            for net in monitor._watched:
-                off, width = self._index[net]
-                monitor.toggles[net] = sum(tcnt[off : off + width])
-                monitor.ones[net] = sum(ocnt[off : off + width])
-            monitor.cycles = observed
-        for monitor in monitors:
-            monitor.finish()
-        return SimulationResult(cycles=cycles, monitors=monitors)
 
 
 # ----------------------------------------------------------------------

@@ -3,15 +3,15 @@
 The compiled backend (:mod:`repro.sim.compile`) is ~10x faster than the
 reference interpreter but is generated code — a miscompiled block would
 silently corrupt toggle rates and, through them, every
-activation-probability and savings number Algorithm 1 computes. The
-bit-sliced backend (:mod:`repro.sim.bitslice`) is generated code twice
-over (plane lowering *and* lane packing). :class:`CheckedSimulator`
-removes that trust assumption: it runs a *subject* engine (compiled by
-default, bitslice via ``subject="bitslice"``) and the reference engine
-in lockstep on the same stimulus and periodically compares *all* net
-values and register/latch state. Any divergence raises a
-diagnostic-rich :class:`~repro.errors.EquivalenceError` naming the
-first differing cycle, nets and values — never a silent wrong answer.
+activation-probability and savings number Algorithm 1 computes.
+:class:`CheckedSimulator` removes that trust assumption: it runs the
+compiled engine and the reference engine in lockstep on the same
+stimulus and periodically compares *all* net values and register/latch
+state. Any divergence raises a diagnostic-rich
+:class:`~repro.errors.EquivalenceError` naming the first differing
+cycle, nets and values — never a silent wrong answer. (The bit-sliced
+kernel is a batch engine; it is checked against the reference through
+broadcast batches, not here.)
 
 Cost: roughly the sum of both engines (the reference engine dominates),
 so ``"checked"`` is the right mode for qualification runs, CI and fault
@@ -42,13 +42,13 @@ DEFAULT_CHECK_INTERVAL = 64
 
 @dataclass(frozen=True)
 class EngineDivergence:
-    """One subject-vs-reference disagreement found by a comparison."""
+    """One compiled-vs-reference disagreement found by a comparison."""
 
     cycle: int
     kind: str  # "net" | "state"
     name: str
     reference: int
-    compiled: int  # the subject engine's value (name kept for compat)
+    compiled: int
 
     def __str__(self) -> str:
         return (
@@ -58,11 +58,11 @@ class EngineDivergence:
 
 
 class CheckedSimulator:
-    """Lockstep subject+reference simulator with periodic cross-checks.
+    """Lockstep compiled+reference simulator with periodic cross-checks.
 
     Mirrors the :class:`~repro.sim.engine.Simulator` interface
     (``step`` / ``commit`` / ``run`` / ``reset``); monitors observe the
-    subject engine's values (the two engines are continuously proven
+    compiled engine's values (the two engines are continuously proven
     equal, so either view is valid).
 
     Parameters
@@ -72,11 +72,7 @@ class CheckedSimulator:
         final comparison always happens after the last cycle.
     compiled / reference:
         Pre-built engines, mainly for tests that seed a deliberate
-        subject-engine bug and assert it is caught. ``compiled`` (the
-        subject slot; name kept for compat) overrides ``subject``.
-    subject:
-        Which generated backend to cross-check against the reference:
-        ``"compiled"`` (default) or ``"bitslice"``.
+        compiled-engine bug and assert it is caught.
     """
 
     #: Set by make_simulator when a requested backend degraded; the
@@ -89,7 +85,6 @@ class CheckedSimulator:
         check_interval: int = DEFAULT_CHECK_INTERVAL,
         compiled=None,
         reference: Optional[Simulator] = None,
-        subject: str = "compiled",
     ) -> None:
         if check_interval < 1:
             raise EquivalenceError(
@@ -97,36 +92,17 @@ class CheckedSimulator:
             )
         self.design = design
         self.check_interval = check_interval
-        if compiled is not None:
-            self.compiled = compiled
-        elif subject == "compiled":
-            self.compiled = CompiledSimulator(design)
-        elif subject == "bitslice":
-            from repro.sim.bitslice import BitsliceSimulator
-
-            self.compiled = BitsliceSimulator(design)
-        else:
-            raise EquivalenceError(
-                f"unknown checked subject {subject!r}; "
-                f"choose 'compiled' or 'bitslice'"
-            )
+        self.compiled = (
+            compiled if compiled is not None else CompiledSimulator(design)
+        )
         self.reference = reference if reference is not None else Simulator(design)
         self.checks_performed = 0
         self.cycle = 0
 
-    @property
-    def _subject_name(self) -> str:
-        from repro.sim.bitslice import BitsliceSimulator
-
-        return (
-            "bitslice" if isinstance(self.compiled, BitsliceSimulator)
-            else "compiled"
-        )
-
     # ------------------------------------------------------------------
     @property
     def values(self) -> Mapping[Net, int]:
-        """The subject engine's settled net values (checked view)."""
+        """The compiled engine's settled net values (checked view)."""
         return self.compiled.values
 
     def reset(self) -> None:
@@ -147,22 +123,22 @@ class CheckedSimulator:
         self.cycle = self.compiled.cycle
 
     def state_items(self) -> List[tuple]:
-        """(cell name, state value) pairs (subject engine's view)."""
+        """(cell name, state value) pairs (compiled engine's view)."""
         return self.compiled.state_items()
 
     def state_value(self, name: str) -> int:
-        """Committed state of the named register/latch (subject view)."""
+        """Committed state of the named register/latch (compiled view)."""
         return self.compiled.state_value(name)
 
     # ------------------------------------------------------------------
     def divergences(self, limit: int = 8) -> List[EngineDivergence]:
         """Compare full net + state vectors; returns the differences."""
         found: List[EngineDivergence] = []
-        subject_values = self.compiled.values
+        compiled_values = self.compiled.values
         reference_values = self.reference.values
         for net in sorted(self.design.nets, key=lambda n: n.name):
             ref = reference_values[net]
-            got = subject_values[net]
+            got = compiled_values[net]
             if ref != got:
                 found.append(
                     EngineDivergence(self.cycle, "net", net.name, ref, got)
@@ -189,14 +165,13 @@ class CheckedSimulator:
         if not found:
             return
         listing = "\n  ".join(str(d) for d in found)
-        subject = self._subject_name
         raise EquivalenceError(
-            f"{subject} and reference engines diverged on design "
+            "compiled and reference engines diverged on design "
             f"{self.design.name!r} at cycle {self.cycle} "
             f"(check #{self.checks_performed}, "
             f"program {self.compiled.program.design_hash[:12]}…):\n  {listing}\n"
-            f"The {subject} program is untrustworthy; rerun with "
-            f"engine='python' and report the design."
+            "The compiled program is untrustworthy; rerun with "
+            "engine='python' and report the design."
         )
 
     # ------------------------------------------------------------------

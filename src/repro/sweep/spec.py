@@ -22,7 +22,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import SweepError
+from repro.designs import builtin_design
+from repro.errors import ReproError, SweepError
 from repro.netlist import textio
 from repro.runconfig import RunConfig
 from repro.serve.cache import canonical_json, job_cache_key
@@ -127,8 +128,6 @@ def _resolve_design(entry, index: int) -> Tuple[str, str]:
     Accepts a builtin name/alias, a path to a textual netlist file, or
     ``{"text": ...}`` / ``{"path": ...}`` dicts.
     """
-    from repro.serve.jobs import _builtin_design
-
     if isinstance(entry, Mapping):
         unknown = set(entry) - {"text", "path", "name"}
         if unknown:
@@ -156,8 +155,8 @@ def _resolve_design(entry, index: int) -> Tuple[str, str]:
             raise SweepError(f"designs[{index}]: cannot read {entry!r}: {exc}") from exc
         return design.name, textio.dumps(design)
     try:
-        design = _builtin_design(entry)
-    except Exception as exc:
+        design = builtin_design(entry)
+    except ReproError as exc:
         raise SweepError(f"designs[{index}]: {exc}") from exc
     return design.name, textio.dumps(design)
 

@@ -387,8 +387,9 @@ def evaluate_fault(
     """Inject one fault and run it through every defence layer in order.
 
     ``engine`` selects the co-simulation backend for the equivalence
-    layer, so campaigns can qualify the generated engines (``compiled``,
-    ``bitslice``) with the same detected/masked/silent taxonomy.
+    layer, so campaigns can qualify the compiled engine with the same
+    detected/masked/silent taxonomy (``bitslice`` runs the compiled
+    kernel here: co-simulation is single-stream).
     """
     try:
         faulted = inject_fault(design, spec)

@@ -4,7 +4,19 @@ import numpy as np
 import pytest
 
 from repro.boolean.expr import var
-from repro.designs import design1, design2, paper_example
+from repro.designs import (
+    alu_control_dominated,
+    cordic_pipeline,
+    correlated_chain,
+    design1,
+    design2,
+    fir_datapath,
+    lookahead_pipeline,
+    paper_example,
+    random_datapath,
+    shared_bus_datapath,
+    soc_datapath,
+)
 from repro.errors import SimulationError
 from repro.sim.batch import (
     BatchControlStream,
@@ -20,6 +32,57 @@ from repro.sim.monitor import ToggleMonitor
 from repro.sim.stimulus import ControlStream, random_stimulus
 
 
+def random_datapath_seed0():
+    return random_datapath(seed=0)
+
+
+#: The reference oracle's designs: every shipped generator plus one
+#: random datapath.
+ORACLE_DESIGNS = [
+    paper_example,
+    design1,
+    design2,
+    fir_datapath,
+    alu_control_dominated,
+    shared_bus_datapath,
+    lookahead_pipeline,
+    correlated_chain,
+    cordic_pipeline,
+    soc_datapath,
+    random_datapath_seed0,
+]
+
+
+def broadcast_divergence(design, stimulus, cycles, engine, lanes=1):
+    """Where a broadcast batch first leaves the python reference, or None.
+
+    Feeds ``stimulus`` to the reference :class:`Simulator` and, through
+    :class:`BroadcastStimulus`, to every lane of
+    ``BatchSimulator(engine=engine)``. Compares every net on every
+    cycle, then the final register/latch state from ``checkpoint()``.
+    A divergence is ``(cycle, net or cell name, reference value, lane
+    values)``; a state divergence reports ``cycles`` as its cycle.
+    """
+    reference = Simulator(design)
+    batch = BatchSimulator(design, batch_size=lanes, engine=engine)
+    assert batch.fallback_reason is None
+    broadcast = BroadcastStimulus(stimulus, lanes)
+    nets = sorted(design.nets, key=lambda net: net.name)
+    for cycle in range(cycles):
+        expected = reference.step(stimulus.values(cycle))
+        got = batch.step(broadcast.values(cycle))
+        for net in nets:
+            if (got[net] != expected[net]).any():
+                return cycle, net.name, expected[net], got[net].tolist()
+        reference.commit()
+        batch.commit()
+    final = batch.checkpoint().state
+    for cell, value in reference.state.items():
+        if (final[cell] != value).any():
+            return cycles, cell.name, value, final[cell].tolist()
+    return None
+
+
 class TestPopcount:
     def test_matches_python(self):
         values = np.array([0, 1, 0xFF, 0xDEADBEEF, 2**63], dtype=np.uint64)
@@ -30,24 +93,17 @@ class TestPopcount:
 class TestCrossValidation:
     """Every lane of a broadcast batch must equal the scalar engine."""
 
-    @pytest.mark.parametrize("maker", [paper_example, design1, design2])
+    @pytest.mark.parametrize("maker", ORACLE_DESIGNS)
     def test_broadcast_matches_scalar(self, maker):
+        """The reference oracle of both batch kernels: the numpy kernels
+        and the bit-sliced lowering, at one lane and at three."""
         design = maker()
-        scalar_stim = random_stimulus(design, seed=9)
-        batch_stim = BroadcastStimulus(random_stimulus(design, seed=9), 4)
-
-        scalar = Simulator(design)
-        batch = BatchSimulator(design, batch_size=4)
-        for cycle in range(60):
-            values = scalar_stim.values(cycle)
-            scalar_settled = scalar.step(values)
-            batch_settled = batch.step(batch_stim.values(cycle))
-            for net, value in scalar_settled.items():
-                lanes = batch_settled[net]
-                assert int(lanes[0]) == value, f"{net.name} cycle {cycle}"
-                assert (lanes == lanes[0]).all()
-            scalar.commit()
-            batch.commit()
+        for engine in ("python", "bitslice"):
+            for lanes in (1, 3):
+                found = broadcast_divergence(
+                    design, random_stimulus(design, seed=9), 66, engine, lanes
+                )
+                assert found is None, (engine, lanes, found)
 
     def test_broadcast_matches_scalar_on_isolated_design(self):
         """Banks/latches/activation logic also agree lane-for-lane."""

@@ -3,7 +3,7 @@
 Covers the satellite checklist of the differential rig: lane
 pack/unpack round-trips, XOR-delta popcounts vs the naive per-lane
 count, masked-overflow behaviour at word boundaries, the seeded-bug
-regression (a corrupted plane constant must trip ``engine="checked"``),
+regression (a corrupted plane constant must fail the broadcast oracle),
 ragged final words, and checkpoint/resume across a mid-word boundary.
 """
 
@@ -13,20 +13,19 @@ import numpy as np
 import pytest
 
 from repro.designs import design1, paper_example, soc_datapath
-from repro.errors import EquivalenceError
 from repro.sim import (
     BatchRandomStimulus,
     BatchSimulator,
     BatchToggleMonitor,
-    BitsliceSimulator,
-    CheckedSimulator,
+    BitsliceBatchKernel,
     bitslice_cache,
     compile_bitslice,
     pack_lanes,
+    random_stimulus,
     unpack_lanes,
 )
-from repro.sim.bitslice import _ripple_increment, pack_scalar
-from repro.sim.checked import DEFAULT_CHECK_INTERVAL
+from repro.sim.bitslice import _ripple_increment
+from tests.test_batch_sim import broadcast_divergence
 
 
 # ----------------------------------------------------------------------
@@ -51,14 +50,6 @@ def test_pack_lanes_drops_bits_beyond_width():
     values = np.array([0b1111, 0b1010, 0b0111], dtype=np.uint64)
     planes = pack_lanes(values, 2)
     np.testing.assert_array_equal(unpack_lanes(planes, 3), values & 0b11)
-
-
-def test_pack_scalar_matches_pack_lanes():
-    value = 0b1011001
-    width = 7
-    assert pack_scalar(value, width) == pack_lanes(
-        np.array([value], dtype=np.uint64), width
-    )
 
 
 def test_xor_delta_popcount_matches_naive():
@@ -96,6 +87,8 @@ def test_ripple_increment_counts_in_lane_binary():
 # Seeded-bug regression: a flipped plane constant must be caught
 # ----------------------------------------------------------------------
 def test_checked_catches_seeded_bitslice_bug():
+    """A corrupted plane program fails the broadcast oracle on the
+    first cycle, naming the corrupted net."""
     design = design1()
     program = bitslice_cache().get(design)
     original_step = program.step
@@ -106,20 +99,15 @@ def test_checked_catches_seeded_bitslice_bug():
 
     program.step = corrupted
     try:
-        subject = BitsliceSimulator(design, program=program)
-        checked = CheckedSimulator(design, compiled=subject)
-        from repro.sim import random_stimulus
-
-        with pytest.raises(EquivalenceError) as excinfo:
-            checked.run(random_stimulus(design, seed=0), 300)
-        message = str(excinfo.value)
-        assert "diverged" in message
-        assert f"cycle {DEFAULT_CHECK_INTERVAL}" in message
-        assert "check #1" in message
-        assert "bitslice" in message
-        assert program.design_hash[:12] in message
+        found = broadcast_divergence(
+            design, random_stimulus(design, seed=0), 300, "bitslice"
+        )
     finally:
         program.step = original_step  # the program is globally cached
+    assert found is not None
+    cycle, name, reference, lanes = found
+    assert (cycle, name) == (0, "X0")
+    assert lanes != [reference]
 
 
 # ----------------------------------------------------------------------
@@ -320,9 +308,9 @@ def test_generic_monitor_sees_lane_values():
 def test_bitslice_cache_hits_on_identical_structure():
     cache = bitslice_cache()
     cache.clear()
-    BitsliceSimulator(design1())
+    BitsliceBatchKernel(design1(), batch_size=4)
     misses_after_first = cache.misses
-    BitsliceSimulator(design1())
+    BitsliceBatchKernel(design1(), batch_size=4)
     assert cache.misses == misses_after_first
     assert cache.hits >= 1
     assert len(cache) >= 1

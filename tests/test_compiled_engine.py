@@ -9,7 +9,6 @@ after the isolation transform — plus monitor-statistic equality and the
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 import repro.designs as designs
@@ -19,7 +18,6 @@ from repro.errors import SimulationError
 from repro.power import estimate_power
 from repro.runconfig import RunConfig
 from repro.sim import (
-    BatchRandomStimulus,
     BatchSimulator,
     CompiledSimulator,
     ProbeSet,
@@ -174,24 +172,6 @@ class TestEnginePlumbing:
 
 
 class TestBatchCompiledEngine:
-    @pytest.mark.parametrize("generator", ["design1", "soc_datapath"])
-    def test_batch_engines_agree(self, generator):
-        maker = getattr(designs, generator)
-        d_ref, d_comp = maker(), maker()
-        stim_ref = BatchRandomStimulus(d_ref, batch_size=8, seed=4)
-        stim_comp = BatchRandomStimulus(d_comp, batch_size=8, seed=4)
-        ref = BatchSimulator(d_ref, batch_size=8)
-        comp = BatchSimulator(d_comp, batch_size=8, engine="compiled")
-        for _ in range(80):
-            ref_values = ref.step(stim_ref.values(ref.cycle))
-            comp_values = comp.step(stim_comp.values(comp.cycle))
-            for net_ref in d_ref.nets:
-                assert np.array_equal(
-                    ref_values[net_ref], comp_values[d_comp.net(net_ref.name)]
-                ), net_ref.name
-            ref.commit()
-            comp.commit()
-
     def test_batch_rejects_unknown_engine(self, d1):
         with pytest.raises(SimulationError):
             BatchSimulator(d1, engine="verilator")

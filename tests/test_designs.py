@@ -1,14 +1,70 @@
 """Tests for the benchmark design generators."""
 
+import argparse
+
 import pytest
 
+from repro import cli
 from repro.boolean.bdd import BddManager
 from repro.boolean.expr import and_, not_, var
 from repro.core import derive_activation_functions
-from repro.designs import random_datapath
+from repro.designs import BUILTINS, random_datapath
+from repro.errors import ServeError, SweepError
+from repro.netlist import textio
 from repro.netlist.validate import validate_design
+from repro.serve import JobService
+from repro.sweep.spec import _resolve_design
 from repro.sim.engine import Simulator
 from repro.sim.stimulus import SequenceStimulus, random_stimulus
+
+
+class TestBuiltins:
+    """One name table serves the CLI, serve jobs and sweep grids."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_name_resolves_to_one_design_everywhere(self, name, capsys):
+        expected = textio.dumps(BUILTINS[name]())
+        args = argparse.Namespace(builtin=name, netlist=None)
+        assert textio.dumps(cli._load_design(args)) == expected
+        service = JobService(start=False)
+        try:
+            job = service.submit("validate", builtin=name)
+        finally:
+            service.shutdown(drain=False)
+        assert job.design_text == expected
+        assert _resolve_design(name, 0)[1] == expected
+        assert cli.main(["validate", "--builtin", name]) == 0
+
+    def test_table_keeps_every_generator_and_alias(self):
+        generators = [
+            "paper_example", "design1", "design2", "fir_datapath",
+            "alu_control_dominated", "shared_bus_datapath",
+            "lookahead_pipeline", "correlated_chain", "cordic_pipeline",
+            "soc_datapath",
+        ]
+        aliases = {
+            "fig1": "paper_example", "fir": "fir_datapath",
+            "alu": "alu_control_dominated", "bus": "shared_bus_datapath",
+            "pipeline": "lookahead_pipeline", "cordic": "cordic_pipeline",
+            "soc": "soc_datapath",
+        }
+        table = {name: maker.__name__ for name, maker in BUILTINS.items()}
+        assert table == {**{name: name for name in generators}, **aliases}
+
+    def test_unknown_name_keeps_each_callers_error_type(self, capsys):
+        with pytest.raises(SweepError, match=r"designs\[0\]: unknown builtin"):
+            _resolve_design("warpcore", 0)
+        service = JobService(start=False)
+        try:
+            with pytest.raises(ServeError, match="unknown builtin"):
+                service.submit("validate", builtin="warpcore")
+            with pytest.raises(ServeError, match="unknown builtin"):
+                service.submit("validate", builtin=["fig1"])  # JSON list
+        finally:
+            service.shutdown(drain=False)
+        assert cli.main(["validate", "--builtin", "warpcore"]) == 2
+        err = capsys.readouterr().err
+        assert all(repr(name) in err for name in BUILTINS)
 
 
 class TestPaperExample:

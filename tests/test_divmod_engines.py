@@ -6,7 +6,8 @@ their output widths. The compiled engine lowers that contract into
 generated Python and the bitslice engine implements it independently in
 the restoring-division helper — three implementations of one convention,
 held together here on directed zero-divisor vectors, ragged output
-widths, and randomized streams.
+widths, and randomized streams. The bitslice engine is a batch engine,
+so its side runs as a one-lane broadcast batch.
 """
 
 from __future__ import annotations
@@ -17,7 +18,15 @@ from repro.netlist.arith import Divider
 from repro.netlist.builder import DesignBuilder
 from repro.netlist.design import Design
 from repro.netlist.ports import PrimaryInput, PrimaryOutput
-from repro.sim import SequenceStimulus, ToggleMonitor, make_simulator, random_stimulus
+from repro.sim import (
+    BatchSimulator,
+    BroadcastStimulus,
+    SequenceStimulus,
+    ToggleMonitor,
+    make_simulator,
+    random_stimulus,
+)
+from tests.test_batch_sim import broadcast_divergence
 
 ENGINES = ("python", "compiled", "bitslice")
 
@@ -76,14 +85,24 @@ def test_div_by_zero_contract(engine, width, yw, rw):
     """Each engine matches the documented contract cycle for cycle."""
     design = divmod_design(width, yw=yw, rw=rw)
     mask = (1 << width) - 1
-    sim = make_simulator(design, engine)
+    stimulus = SequenceStimulus(
+        [{"X": a & mask, "D": b & mask} for a, b in DIRECTED]
+    )
+    if engine == "bitslice":
+        sim = BatchSimulator(design, batch_size=1, engine="bitslice")
+        stimulus = BroadcastStimulus(stimulus, 1)
+    else:
+        sim = make_simulator(design, engine)
     assert sim.fallback_reason is None
     q_net, m_net = design.net("q"), design.net("m")
-    for a, b in DIRECTED:
-        values = sim.step({"X": a & mask, "D": b & mask})
+    for cycle, (a, b) in enumerate(DIRECTED):
+        values = sim.step(stimulus.values(cycle))
         want_q, want_m = expected(a & mask, b & mask, width, yw, rw)
-        assert values[q_net] == want_q, (engine, a, b)
-        assert values[m_net] == want_m, (engine, a, b)
+        got_q, got_m = values[q_net], values[m_net]
+        if engine == "bitslice":
+            got_q, got_m = got_q[0], got_m[0]
+        assert got_q == want_q, (engine, a, b)
+        assert got_m == want_m, (engine, a, b)
         sim.commit()
 
 
@@ -93,7 +112,8 @@ def test_div_by_zero_contract(engine, width, yw, rw):
     ids=["even", "ragged"],
 )
 def test_div_by_zero_differential_stats(width, yw, rw):
-    """Toggle/ones counts are byte-identical across all three engines.
+    """Toggle/ones counts are byte-identical across the scalar engines,
+    and the bitslice engine matches the reference on every net.
 
     The stimulus interleaves random vectors with forced zero divisors so
     the div-by-zero path toggles in and out — the pattern most likely to
@@ -119,9 +139,11 @@ def test_div_by_zero_differential_stats(width, yw, rw):
             {net.name: count for net, count in monitor.ones.items()},
         )
 
-    ref = stats("python")
-    for engine in ("compiled", "bitslice"):
-        assert stats(engine) == ref, engine
+    assert stats("compiled") == stats("python")
+    found = broadcast_divergence(
+        design, SequenceStimulus(vectors), len(vectors), "bitslice"
+    )
+    assert found is None, found
 
 
 def test_div_by_zero_through_registers_random():
@@ -153,6 +175,11 @@ def test_div_by_zero_through_registers_random():
             dict(sim.state_items()),
         )
 
-    ref = stats("python")
-    for engine in ("compiled", "bitslice"):
-        assert stats(engine) == ref, engine
+    assert stats("compiled") == stats("python")
+    found = broadcast_divergence(
+        design,
+        random_stimulus(design, seed=5, data_toggle_density=1.0),
+        404,  # the warmup plus the observed cycles of stats()
+        "bitslice",
+    )
+    assert found is None, found
