@@ -7,8 +7,7 @@ follows the same three-step surgery, and the helpers here own each step:
 1. **graft** — build the replacement cells inside the target design
    (:class:`GraftBuilder`, a :class:`~repro.netlist.builder.DesignBuilder`
    analogue that operates on an *existing* design with collision-free
-   fresh names and records creation order, which is a topological order
-   of the grafted logic);
+   fresh names and records the cells it creates);
 2. **splice** — re-point every reader of the old cone's output net at the
    replacement output (:func:`splice_readers`); primary outputs and
    register D pins move like any other reader pin;
@@ -86,9 +85,8 @@ class GraftBuilder:
     content: every cell and net name is drawn from the design's
     fresh-name counter under a common prefix, so grafts never collide.
 
-    :attr:`cells` records every created cell in creation order. Grafts
-    are built leaves-first, so this order is topological — the rewrite
-    scorer replays traced input values through it directly.
+    :attr:`cells` records every created cell in creation order, so a
+    caller can price or rename exactly the cells one graft added.
     """
 
     def __init__(self, design: Design, prefix: str = "rw") -> None:

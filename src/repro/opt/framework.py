@@ -35,11 +35,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro import obs
 from repro.core.cost import CostWeights
 from repro.core.isolate import STYLES
-from repro.errors import IsolationError
+from repro.errors import IsolationError, ReproError
 from repro.netlist.design import Design
 from repro.power.estimator import PowerEstimator
 from repro.power.library import TechnologyLibrary, default_library
-from repro.runconfig import ENGINES, RunConfig, _default_workers
+from repro.runconfig import RunConfig, _default_workers
 from repro.sim.engine import make_simulator
 from repro.sim.monitor import ToggleMonitor
 from repro.sim.stimulus import Stimulus
@@ -66,8 +66,9 @@ class IsolationConfig:
     weights:
         The ω_p/ω_a/h_min cost trade-off (Section 5.1).
     cycles / warmup:
-        Simulation length per estimation run. ``cycles`` must be at
-        least 2: a toggle rate needs two observed cycles.
+        Simulation length per estimation run; the defaults are
+        :class:`~repro.runconfig.RunConfig`'s (2000 and 16), and
+        ``cycles`` must be at least 2.
     clock_period:
         Timing constraint in ns. ``None`` sets it from the original
         design's critical path times ``period_margin`` (the paper's
@@ -93,8 +94,9 @@ class IsolationConfig:
         no candidate clears ``h_min``.
     engine:
         Simulation backend for every estimation run: ``"python"`` (the
-        reference interpreter), ``"compiled"`` (the pre-bound kernel
-        backend of :mod:`repro.sim.compile`; bit-exact, much faster),
+        reference interpreter, and :class:`~repro.runconfig.RunConfig`'s
+        default), ``"compiled"`` (the pre-bound kernel backend of
+        :mod:`repro.sim.compile`; bit-exact, much faster),
         ``"bitslice"`` (a batch engine; these single-stream runs use the
         compiled kernel, with identical results) or ``"checked"``
         (compiled + reference in lockstep with periodic
@@ -110,20 +112,21 @@ class IsolationConfig:
 
     Values that would silently give wrong results (an unknown style,
     fewer than two cycles, a non-positive clock, negative counts) raise
-    :class:`~repro.errors.IsolationError` at construction.
+    :class:`~repro.errors.IsolationError` at construction; the four run
+    fields are checked by :class:`~repro.runconfig.RunConfig` itself.
     """
 
     style: str = "and"
     weights: CostWeights = field(default_factory=CostWeights)
-    cycles: int = 2000
-    warmup: int = 32
+    cycles: int = RunConfig.cycles
+    warmup: int = RunConfig.warmup
     clock_period: Optional[float] = None
     period_margin: float = 1.25
     slack_threshold: float = 0.0
     refined_savings: bool = True
     lookahead_depth: int = 0
     max_iterations: int = 25
-    engine: str = "python"
+    engine: str = RunConfig.engine
     workers: int = field(default_factory=_default_workers)
 
     def __post_init__(self) -> None:
@@ -132,17 +135,15 @@ class IsolationConfig:
             raise IsolationError(
                 f"unknown style {self.style!r}; choose one of {styles}"
             )
-        if self.engine not in ENGINES:
-            raise IsolationError(
-                f"unknown engine {self.engine!r}; choose one of {ENGINES}"
+        try:
+            RunConfig(
+                cycles=self.cycles,
+                warmup=self.warmup,
+                engine=self.engine,
+                workers=self.workers,
             )
-        if self.cycles < 2:
-            raise IsolationError(
-                f"cycles must be >= 2 (a toggle rate needs two cycles), "
-                f"got {self.cycles}"
-            )
-        if self.warmup < 0:
-            raise IsolationError(f"warmup must be >= 0, got {self.warmup}")
+        except ReproError as exc:
+            raise IsolationError(str(exc)) from None
         if self.period_margin <= 0:
             raise IsolationError(
                 f"period_margin must be > 0, got {self.period_margin}"
@@ -158,10 +159,6 @@ class IsolationConfig:
         if self.max_iterations < 0:
             raise IsolationError(
                 f"max_iterations must be >= 0, got {self.max_iterations}"
-            )
-        if self.workers < 0:
-            raise IsolationError(
-                f"workers must be >= 0 (0 = auto), got {self.workers}"
             )
 
     def with_run(self, run: RunConfig) -> "IsolationConfig":

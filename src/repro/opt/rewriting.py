@@ -72,7 +72,8 @@ class RewritePass(TransformPass):
         self._trace: Optional[ValueTrace] = None
 
     def enumerate(self, record: OptIteration) -> int:
-        self._plans = find_rewrites(self.ctx.working, created_by=self._rule_of)
+        with obs.span("rewrite.enumerate", "stage"):
+            self._plans = find_rewrites(self.ctx.working, created_by=self._rule_of)
         self._trace = None
         if self._plans:
             nets = [net for plan in self._plans for net in plan.sources]
@@ -87,18 +88,21 @@ class RewritePass(TransformPass):
         total_area = ctx.library.total_area(ctx.working)
         scores: List[RewriteScore] = []
         for plan in self._plans:
-            if plan.prepare is not None:
-                plan.prepare(plan, monitor)
-            score = score_rewrite(
-                plan,
-                trace=self._trace,
-                monitor=monitor,
-                total_power_mw=total_power_mw,
-                total_area=total_area,
-                weights=ctx.config.weights,
-                library=ctx.library,
-                estimator=self._estimator,
-            )
+            with obs.span(
+                "rewrite.score", "score", rule=plan.rule, target=plan.target
+            ):
+                if plan.prepare is not None:
+                    plan.prepare(plan, monitor)
+                score = score_rewrite(
+                    plan,
+                    trace=self._trace,
+                    monitor=monitor,
+                    total_power_mw=total_power_mw,
+                    total_area=total_area,
+                    weights=ctx.config.weights,
+                    library=ctx.library,
+                    estimator=self._estimator,
+                )
             if score.net_mw > MIN_GAIN_MW:
                 scores.append(score)
             else:

@@ -17,17 +17,14 @@ from repro.rewrite.rules import (
 )
 from repro.rewrite.scoring import (
     MIN_GAIN_MW,
-    RateView,
     RewriteScore,
     ValueTrace,
-    replay_graft,
     score_rewrite,
 )
 
 __all__ = [
     "MAX_SHIFT_TERMS",
     "MIN_GAIN_MW",
-    "RateView",
     "RewritePlan",
     "RewriteScore",
     "ValueTrace",
@@ -36,6 +33,5 @@ __all__ = [
     "find_reassociation",
     "find_rewrites",
     "find_strength_reduction",
-    "replay_graft",
     "score_rewrite",
 ]

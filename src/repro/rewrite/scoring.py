@@ -1,6 +1,6 @@
 """Power scoring of candidate rewrites against the shared estimation run.
 
-The rewriter never pays a second simulation to evaluate a candidate.
+The rewriter never re-simulates the design to evaluate a candidate.
 Instead a :class:`ValueTrace` monitor rides along on the iteration's
 single estimation run (the same run that feeds every other pass) and
 records the per-cycle values of every candidate's boundary nets. Scoring
@@ -10,15 +10,15 @@ a plan then:
    stand-in primary inputs for the boundary nets and as many dummy
    readers on the replacement output as the real output has (fanout
    parity for the output-energy term);
-2. replays the traced boundary values through the scratch cells — graft
-   creation order is topological — giving the *exact* toggle counts
-   every new net would have shown in the measured run (the rewrite is
-   value-preserving, so boundary values are unchanged by applying it);
-3. prices the removed cells with the shared
-   :class:`~repro.power.estimator.PowerEstimator` and measured rates,
-   and the replacement cells with the same estimator over the replayed
-   rates (:class:`RateView` adapts the rate table to the monitor
-   interface);
+2. replays the traced boundary values through the scratch design on the
+   compiled engine (a :class:`~repro.sim.stimulus.SequenceStimulus`
+   under a :class:`~repro.sim.monitor.ToggleMonitor`), giving the
+   *exact* toggle counts every new net would have shown in the measured
+   run (the rewrite is value-preserving, so boundary values are
+   unchanged by applying it);
+3. prices the removed cells against the measured run's monitor and the
+   replacement cells against the replay's, with the shared
+   :class:`~repro.power.estimator.PowerEstimator`;
 4. folds the mW delta and the library-area delta into the same
    ``h(c) = ω_p·rP − ω_a·rA`` merit every pass competes under.
 
@@ -39,7 +39,9 @@ from repro.netlist.ports import PrimaryInput, PrimaryOutput
 from repro.netlist.splice import GraftBuilder
 from repro.power.estimator import PowerEstimator
 from repro.rewrite.rules import RewritePlan
-from repro.sim.monitor import Monitor, popcount
+from repro.sim.engine import make_simulator
+from repro.sim.monitor import Monitor, ToggleMonitor
+from repro.sim.stimulus import SequenceStimulus
 
 #: Predicted gains at or below this are treated as "no gain": they are
 #: either exact no-ops (rebuilding the same structure) or within noise,
@@ -73,25 +75,6 @@ class ValueTrace(Monitor):
         return len(next(iter(self.values.values())))
 
 
-class RateView:
-    """A fixed net→rate table behind the ToggleMonitor scoring interface.
-
-    Lets :meth:`PowerEstimator.cell_energy` price hypothetical cells
-    whose nets were never simulated. Grafted cells are never
-    clock-gated, so ``one_probability`` is unused; it returns 0.0 for
-    interface completeness.
-    """
-
-    def __init__(self, rates: Dict[Net, float]) -> None:
-        self._rates = rates
-
-    def toggle_rate(self, net: Net) -> float:
-        return self._rates[net]
-
-    def one_probability(self, net: Net) -> float:
-        return 0.0
-
-
 @dataclass
 class RewriteScore:
     """Scored candidate rewrite; ``h`` competes under the shared budget."""
@@ -115,37 +98,6 @@ class RewriteScore:
         return self.plan.rule
 
 
-def replay_graft(
-    graft: GraftBuilder, source_values: Dict[Net, List[int]], cycles: int
-) -> Dict[Net, float]:
-    """Toggle rates of every graft-created net from traced input values.
-
-    Evaluates the grafted cells in creation order (topological) for each
-    traced cycle and counts bit toggles between consecutive cycles,
-    matching the ToggleMonitor convention ``toggles / (cycles - 1)``.
-    """
-    env: Dict[Net, int] = {}
-    previous: Dict[Net, int] = {}
-    toggles: Dict[Net, int] = {}
-    for cell in graft.cells:
-        for pin in cell.output_pins:
-            toggles[pin.net] = 0
-    for t in range(cycles):
-        for net, samples in source_values.items():
-            env[net] = samples[t]
-        for cell in graft.cells:
-            inputs = {pin.port: env[pin.net] for pin in cell.input_pins}
-            for port, value in cell.evaluate(inputs).items():
-                net = cell.net(port)
-                if t > 0:
-                    toggles[net] += popcount(previous[net] ^ value)
-                previous[net] = value
-                env[net] = value
-    if cycles <= 1:
-        return {net: 0.0 for net in toggles}
-    return {net: count / (cycles - 1) for net, count in toggles.items()}
-
-
 def score_rewrite(
     plan: RewritePlan,
     trace: ValueTrace,
@@ -162,6 +114,7 @@ def score_rewrite(
     # 1. Scratch build: stand-in PIs for boundary nets, fanout parity POs.
     scratch = Design(f"rwscore_{plan.target}")
     stand_in: Dict[Net, Net] = {}
+    traced: Dict[str, List[int]] = {}
     for i, net in enumerate(plan.sources):
         if net in stand_in:
             continue
@@ -169,6 +122,7 @@ def score_rewrite(
         scratch.add_cell(pi)
         stand_in[net] = scratch.add_net(f"src{i}_n", net.width)
         scratch.connect(pi, "Y", stand_in[net])
+        traced[pi.name] = trace.values[net]
     graft = GraftBuilder(scratch)
     new_out = plan.build(graft, [stand_in[net] for net in plan.sources])
     for j in range(len(plan.out_net.readers)):
@@ -177,15 +131,15 @@ def score_rewrite(
         scratch.connect(po, "A", new_out)
 
     # 2./3. Replay the trace; price old and new cones with one estimator.
-    source_values = {
-        stand_in[net]: trace.values[net] for net in plan.sources
-    }
-    rates = replay_graft(graft, source_values, trace.cycles)
-    for net in plan.sources:
-        rates[stand_in[net]] = monitor.toggle_rate(net)
-    view = RateView(rates)
+    stimulus = SequenceStimulus(
+        [dict(zip(traced, row)) for row in zip(*traced.values())]
+    )
+    replay = ToggleMonitor()
+    make_simulator(scratch, "compiled").run(
+        stimulus, trace.cycles, monitors=[replay]
+    )
     before_pj = sum(estimator.cell_energy(cell, monitor) for cell in plan.removed)
-    after_pj = sum(estimator.cell_energy(cell, view) for cell in graft.cells)
+    after_pj = sum(estimator.cell_energy(cell, replay) for cell in graft.cells)
     before_mw = library.power_mw(before_pj)
     after_mw = library.power_mw(after_pj)
     net_mw = before_mw - after_mw

@@ -52,7 +52,8 @@ class RunConfig:
     Attributes
     ----------
     cycles:
-        Observed simulation cycles per estimation run.
+        Observed simulation cycles per estimation run; at least 2,
+        because a toggle rate needs two observed cycles.
     warmup:
         Cycles simulated before observation starts (flushes reset
         transients out of the statistics).
@@ -96,8 +97,11 @@ class RunConfig:
             raise ReproError(
                 f"unknown engine {self.engine!r}; choose one of {ENGINES}"
             )
-        if self.cycles < 0:
-            raise ReproError(f"cycles must be >= 0, got {self.cycles}")
+        if self.cycles < 2:
+            raise ReproError(
+                f"cycles must be >= 2 (a toggle rate needs two cycles), "
+                f"got {self.cycles}"
+            )
         if self.warmup < 0:
             raise ReproError(f"warmup must be >= 0, got {self.warmup}")
         if self.workers < 0:

@@ -541,7 +541,9 @@ class JobService:
         missing or corrupt blob re-enqueues the job instead of serving a
         lie. Jobs that were ``queued`` or ``running`` at crash time are
         orphans — their (implicit) lease died with the process — and are
-        re-enqueued with a journaled ``retry`` record.
+        re-enqueued with a journaled ``retry`` record. A job whose
+        journaled run no longer validates (e.g. fewer than two cycles)
+        finishes ``failed`` with the validation message instead.
         """
         assert self.store is not None
         report = RecoveryReport(
@@ -558,11 +560,11 @@ class JobService:
                 max_id = max(max_id, int(job_id.lstrip("j")))
             except ValueError:
                 pass
-            run_cfg = self.default_run
+            run_cfg, run_error = self.default_run, None
             try:
                 run_cfg = RunConfig.from_dict(state.get("run") or {})
-            except ReproError:
-                pass
+            except ReproError as exc:
+                run_error = _error_payload(exc)
             job = Job(
                 id=job_id,
                 method=state.get("method", ""),
@@ -581,7 +583,14 @@ class JobService:
                 recovered=True,
             )
             terminal = state["state"]
-            if terminal == "done":
+            if run_error is not None and terminal not in ("failed", "cancelled"):
+                # A journaled run that no longer validates must neither
+                # run with substitute settings under its cache key nor
+                # serve the result it produced.
+                self._journal("fail", job, error=run_error)
+                self._finish(job, FAILED, error=run_error)
+                report.failed += 1
+            elif terminal == "done":
                 hit, payload = self.cache.get(job.cache_key)
                 digest = state.get("result_digest")
                 if hit and (digest is None or payload_digest(payload) == digest):

@@ -17,10 +17,13 @@ from repro.sim.monitor import Monitor
 
 
 class NetTrace(Monitor):
-    """Records the settled value of selected nets every cycle."""
+    """Records the settled value of selected nets every cycle.
+
+    A net listed more than once is recorded once, in first-seen order.
+    """
 
     def __init__(self, nets: Iterable[Net]) -> None:
-        self.nets: List[Net] = list(nets)
+        self.nets: List[Net] = list(dict.fromkeys(nets))
         self.cycles: List[int] = []
         self.samples: Dict[Net, List[int]] = {net: [] for net in self.nets}
 

@@ -33,6 +33,7 @@ class TestIsolationConfig:
             {"clock_period": -2.5},
             {"lookahead_depth": -1},
             {"max_iterations": -1},
+            {"engine": "verilator"},
         ],
     )
     def test_rejects_values_that_give_wrong_results(self, bad):

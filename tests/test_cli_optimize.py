@@ -6,12 +6,14 @@ import pytest
 
 from repro import api
 from repro.cli import main
-from repro.designs import design1
+from repro.designs import builtin_design, design1
 from repro.errors import ServeError
+from repro.netlist import textio
 from repro.runconfig import RunConfig
 from repro.serve import DONE, JobService
 from repro.serve.cache import job_cache_key
 from repro.serve.jobs import METHODS, _validate_params
+from repro.serve.supervisor import run_job_payload
 
 RUN = {"cycles": 150, "warmup": 8, "engine": "compiled", "workers": 1}
 
@@ -171,6 +173,53 @@ class TestProfileWithPasses:
         assert "clock.gate" in names
         assert payload["passes"] == ["isolation", "clock_gating"]
         assert payload["transformed"]
+
+
+class TestCliServeParity:
+    """The CLI and a served job build the same design from one request."""
+
+    @pytest.mark.parametrize(
+        "name, passes",
+        [("soc", ["isolation"]), ("design1", ["isolation", "clock_gating"])],
+    )
+    def test_cli_json_matches_served_payload(self, name, passes, capsys):
+        code = main(
+            [
+                "optimize",
+                "--builtin", name,
+                "--passes", ",".join(passes),
+                "--seed", "0",
+                "--cycles", "600",
+                "--engine", "compiled",
+                "--workers", "1",
+                "--verify-cycles", "0",
+                "--json",
+            ]
+        )
+        assert code == 0
+        cli = json.loads(capsys.readouterr().out)
+        cli.pop("timings")
+        cli.pop("equivalence", None)
+        run = RunConfig(cycles=600, seed=0, engine="compiled", workers=1)
+        served = run_job_payload(
+            {
+                "method": "optimize",
+                "design_text": textio.dumps(builtin_design(name)),
+                "run": run.to_dict(),
+                "params": {"passes": passes},
+            }
+        )
+        assert cli["applied"] == served["applied"]
+        # Serve re-parses the design text, so the last ulp can move.
+        for key, fields in (
+            ("power_mw", ("before", "after")),
+            ("area_um2", ("before", "after")),
+            ("slack_ns", ("before", "after", "clock_period")),
+        ):
+            for field in fields:
+                assert cli[key][field] == pytest.approx(
+                    served[key][field], rel=1e-9
+                ), (key, field)
 
 
 class TestServeOptimize:

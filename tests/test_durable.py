@@ -276,6 +276,39 @@ class TestRecovery:
         finally:
             reborn.shutdown()
 
+    def test_journaled_run_that_no_longer_validates_fails(self, tmp_path):
+        service = make_service(tmp_path, start=False)  # ack but never run
+        job = service.submit("estimate", builtin="design1", run=RUN)
+        service.store.close()
+        # Rewrite the acknowledged run to one cycle, as a journal written
+        # before the cycles >= 2 check would hold it.
+        path = os.path.join(str(tmp_path), DurableStore.JOURNAL_NAME)
+        with open(path) as fh:
+            records = [json.loads(line) for line in fh]
+        for record in records:
+            if record["type"] == "submit":
+                record["run"]["cycles"] = 1
+        with open(path, "w") as fh:
+            fh.writelines(json.dumps(record) + "\n" for record in records)
+
+        reborn = make_service(tmp_path)
+        try:
+            report = reborn.last_recovery
+            assert report.reenqueued == 0 and report.failed == 1
+            recovered = reborn.get(job.id)
+            assert recovered.state == FAILED and recovered.recovered
+            assert "cycles must be >= 2" in recovered.error["message"]
+            assert reborn.cache.get(job.cache_key) == (False, None)
+        finally:
+            reborn.shutdown()
+        # The failure is journaled: a second restart replays it as failed.
+        again = make_service(tmp_path)
+        try:
+            assert again.get(job.id).state == FAILED
+            assert again.last_recovery.reenqueued == 0
+        finally:
+            again.shutdown()
+
     def test_torn_journal_tail_is_counted_and_survivors_recover(self, tmp_path):
         service = make_service(tmp_path)
         try:

@@ -53,7 +53,10 @@ def close(values, expected):
 def check_against_golden(maker: str, workers: int) -> None:
     golden = GOLDEN[f"{maker}@{workers}"]
     design = getattr(designs, maker)()
-    config = IsolationConfig(cycles=200, engine="compiled", workers=workers)
+    # The golden data was recorded with a 32-cycle warmup.
+    config = IsolationConfig(
+        cycles=200, warmup=32, engine="compiled", workers=workers
+    )
     result = isolate_design(
         design, lambda: random_stimulus(design, seed=1), config
     )

@@ -6,13 +6,15 @@ import warnings
 
 import pytest
 
+from repro.cli import main
 from repro.core.explore import rank_candidates
 from repro.core.report import compare_styles
-from repro.errors import ReproError
+from repro.errors import IsolationError, ReproError, SweepError
 from repro.opt import IsolationConfig, isolate_design, optimize
 from repro.power import estimate_power
 from repro.runconfig import ENGINES, RunConfig
 from repro.sim.stimulus import random_stimulus
+from repro.sweep import SweepSpec
 
 
 class TestRunConfig:
@@ -32,8 +34,41 @@ class TestRunConfig:
         with pytest.raises(ReproError):
             RunConfig(**bad)
 
+    def test_isolation_config_takes_the_run_defaults(self):
+        # One default per field: the CLI (IsolationConfig) and serve
+        # (RunConfig) must run one request with the same settings.
+        config, run = IsolationConfig(workers=1), RunConfig(workers=1)
+        assert (config.cycles, config.warmup, config.engine) == (
+            run.cycles,
+            run.warmup,
+            run.engine,
+        )
+
     def test_engines_constant(self):
         assert ENGINES == ("python", "compiled", "bitslice", "checked")
+
+
+class TestFewerThanTwoCycles:
+    """A toggle rate needs two observed cycles: shorter runs are refused
+    at every entry point instead of reporting leakage-only power."""
+
+    @pytest.mark.parametrize("cycles", [0, 1])
+    def test_runconfig_rejects_with_the_isolation_message(self, cycles):
+        with pytest.raises(ReproError) as run_error:
+            RunConfig(cycles=cycles)
+        with pytest.raises(IsolationError) as config_error:
+            IsolationConfig(cycles=cycles)
+        assert "cycles must be >= 2" in str(run_error.value)
+        assert str(run_error.value) == str(config_error.value)
+
+    @pytest.mark.parametrize("command", ["report", "rank"])
+    def test_cli_exits_2(self, command, capsys):
+        assert main([command, "--builtin", "design1", "--cycles", "1"]) == 2
+        assert "cycles must be >= 2" in capsys.readouterr().err
+
+    def test_sweep_spec_raises_sweep_error(self):
+        with pytest.raises(SweepError, match="cycles must be >= 2"):
+            SweepSpec.from_dict({"designs": ["design1"], "run": {"cycles": 1}})
 
 
 class TestEntryPointShims:

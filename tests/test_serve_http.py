@@ -87,6 +87,13 @@ class TestProtocol:
             client._request("GET", "/v1/nonesuch")
         assert excinfo.value.status == 404
 
+    def test_fewer_than_two_cycles_is_a_400(self, client):
+        with pytest.raises(ServeError) as excinfo:
+            client.submit("estimate", builtin="fig1", run={**RUN, "cycles": 1})
+        assert excinfo.value.status == 400
+        assert "cycles must be >= 2" in str(excinfo.value)
+        assert client.jobs() == []
+
     def test_malformed_json_is_a_400_not_a_crash(self, server):
         request = urllib.request.Request(
             server.url + "/v1/jobs",

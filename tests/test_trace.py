@@ -29,3 +29,14 @@ class TestNetTrace:
         assert lines[0] == "cycle,A,C"
         assert lines[1] == "0,5,6"
         assert len(lines) == 3
+
+    def test_repeated_net_is_recorded_once(self, tiny_design):
+        gate = tiny_design.net("G")
+        pattern = [0, 0, 1, 0, 1, 1, 0, 1]
+        vectors = [{"A": 1, "C": 2, "S": 0, "G": g} for g in pattern]
+        trace = NetTrace([gate, gate])
+        simulate(tiny_design, SequenceStimulus(vectors), 8, monitors=[trace])
+        assert trace.nets == [gate]
+        assert trace.values_of(gate) == pattern
+        lines = trace.to_csv().strip().splitlines()
+        assert lines == ["cycle,G"] + [f"{t},{g}" for t, g in enumerate(pattern)]
