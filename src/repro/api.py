@@ -140,8 +140,8 @@ class Session:
         return copy.deepcopy(self._stimulus)
 
     def _stimulus_source(self, run: Optional[RunConfig]):
-        # optimize/compare_styles re-pull the stimulus per estimation
-        # run themselves; hand them a factory.
+        # optimize draws the stimulus once per call (compare_styles once
+        # per style); hand them a factory.
         return lambda: self.stimulus(run)
 
     def _config(

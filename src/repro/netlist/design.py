@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 from typing import Dict, Iterator, List, Optional
 
+from repro import obs
 from repro.errors import NetlistError
 from repro.netlist.cells import Cell, Pin, PortDir
 from repro.netlist.nets import Net
@@ -263,7 +264,8 @@ class Design:
     # ------------------------------------------------------------------
     def copy(self, name: Optional[str] = None) -> "Design":
         """Deep structural copy (used to compare pre/post-isolation)."""
-        dup = copy.deepcopy(self)
+        with obs.span("design.copy", "stage", design=self.name):
+            dup = copy.deepcopy(self)
         if name is not None:
             dup.name = name
         return dup

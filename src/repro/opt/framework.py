@@ -42,7 +42,7 @@ from repro.power.library import TechnologyLibrary, default_library
 from repro.runconfig import RunConfig, _default_workers
 from repro.sim.engine import make_simulator
 from repro.sim.monitor import ToggleMonitor
-from repro.sim.stimulus import Stimulus
+from repro.sim.stimulus import Stimulus, StimulusTable
 from repro.timing.sta import analyze_timing
 
 StimulusSource = Union[Stimulus, Callable[[], Stimulus]]
@@ -286,15 +286,36 @@ class StageTimings:
 
 
 def _stimulus_of(source: StimulusSource) -> Stimulus:
-    """A fresh stimulus per estimation run (identical statistics each time)."""
+    """A fresh stimulus from ``source``: the factory's product, or a deep
+    copy of a stimulus object, so the caller's object is never advanced."""
     if callable(source) and not hasattr(source, "values"):
         return source()
     return copy.deepcopy(source)
 
 
+def _drawn_once(
+    source: StimulusSource, design: Design, length: int
+) -> Callable[[], Stimulus]:
+    """The call's stimulus: drawn as a :class:`StimulusTable` on first use.
+
+    The first estimation run (the baseline) makes the one draw inside its
+    ``power.estimate`` span, so both stage-timing paths count it as
+    simulate time; every later run replays the same table.
+    """
+    drawn: List[Stimulus] = []
+
+    def table() -> Stimulus:
+        if not drawn:
+            with obs.span("stimulus.draw", "sim", design=design.name, cycles=length):
+                drawn.append(StimulusTable.draw(_stimulus_of(source), design, length))
+        return drawn[0]
+
+    return table
+
+
 def _measure_power(
     design: Design,
-    source: StimulusSource,
+    stimulus: Callable[[], Stimulus],
     config: IsolationConfig,
     library: TechnologyLibrary,
     extra_monitors: Optional[list] = None,
@@ -314,7 +335,7 @@ def _measure_power(
         if timings is not None and simulator.fallback_reason is not None:
             timings.fallback_reason = simulator.fallback_reason
         simulator.run(
-            _stimulus_of(source), config.cycles, monitors=monitors, warmup=config.warmup
+            stimulus(), config.cycles, monitors=monitors, warmup=config.warmup
         )
         breakdown = PowerEstimator(library).breakdown(design, monitor)
         span.set(power_mw=breakdown.total_power_mw)
@@ -639,8 +660,12 @@ def optimize(
 ) -> OptimizeResult:
     """Run the greedy low-power loop with the named passes on a design copy.
 
-    ``stimulus`` is a stimulus object (deep-copied per estimation run) or
-    a zero-argument factory. ``passes`` lists registered pass names in
+    ``stimulus`` is a stimulus object or a zero-argument factory. The
+    call draws it once — a factory is called once, an object is
+    deep-copied once and left unadvanced — into a
+    :class:`~repro.sim.stimulus.StimulusTable` of ``warmup + cycles``
+    input vectors that every estimation run of the call replays.
+    ``passes`` lists registered pass names in
     application order (order is documented not to change the final
     design — see ``docs/passes.md``). ``run=RunConfig(...)`` overrides
     the config's cycles/warmup/engine/workers. The working copy is named
@@ -721,7 +746,8 @@ def _run_optimize(
     if period is None:
         period = reference_timing.clock_period * config.period_margin
     baseline_timing = analyze_timing(working, library, clock_period=period)
-    baseline_power, _ = timed_measure(working, stimulus, config, library)
+    replay = _drawn_once(stimulus, working, config.warmup + config.cycles)
+    baseline_power, _ = timed_measure(working, replay, config, library)
     baseline = DesignMetrics(
         power_mw=baseline_power,
         area=library.total_area(working),
@@ -754,7 +780,10 @@ def _run_optimize(
             transform_before = timings.transform_s
 
             record = OptIteration(index=index, total_power_mw=0.0)
-            counts = [p.enumerate(record) for p in passes]
+            counts = []
+            for p in passes:
+                with obs.span("pass.enumerate", "stage", pass_name=p.name):
+                    counts.append(p.enumerate(record))
             if not any(counts):
                 result.iterations.append(record)
                 settle_score()
@@ -764,7 +793,7 @@ def _run_optimize(
             # for the power model plus each pass's own probes.
             monitors = [m for p in passes for m in p.monitors()]
             total_power, monitor = timed_measure(
-                working, stimulus, config, library, extra_monitors=monitors
+                working, replay, config, library, extra_monitors=monitors
             )
             record.total_power_mw = total_power
 
@@ -783,7 +812,9 @@ def _run_optimize(
                     obs.counter("passes.deferred", deferred=p.name).inc()
                     continue
                 applied_this_pass = False
-                for scores in p.score(total_power, monitor):
+                with obs.span("pass.score", "score", pass_name=p.name):
+                    groups = p.score(total_power, monitor)
+                for scores in groups:
                     if not scores:
                         continue
                     record.scores.setdefault(p.name, []).extend(scores)
@@ -812,7 +843,7 @@ def _run_optimize(
                 break
 
     # --- Final metrics -------------------------------------------------
-    final_power, _ = timed_measure(working, stimulus, config, library)
+    final_power, _ = timed_measure(working, replay, config, library)
     final_timing = analyze_timing(working, library, clock_period=period)
     result.final = DesignMetrics(
         power_mw=final_power,

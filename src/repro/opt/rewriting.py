@@ -72,8 +72,7 @@ class RewritePass(TransformPass):
         self._trace: Optional[ValueTrace] = None
 
     def enumerate(self, record: OptIteration) -> int:
-        with obs.span("rewrite.enumerate", "stage"):
-            self._plans = find_rewrites(self.ctx.working, created_by=self._rule_of)
+        self._plans = find_rewrites(self.ctx.working, created_by=self._rule_of)
         self._trace = None
         if self._plans:
             nets = [net for plan in self._plans for net in plan.sources]

@@ -256,7 +256,7 @@ def optimize_styles(
 
     ``stimulus_of`` is a zero-argument factory producing one fresh
     stimulus per style (workers receive a materialised stimulus object,
-    which ``optimize`` deep-copies per estimation run — identical
+    which ``optimize`` deep-copies once and draws from — identical
     statistics to the serial factory path for deterministic factories).
     Nested pools are avoided by forcing ``workers=1`` in shipped
     configs. Results keep referencing the caller's original design.

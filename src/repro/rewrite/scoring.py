@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional
 
+import numpy as np
+
 from repro.netlist.design import Design
 from repro.netlist.nets import Net
 from repro.netlist.ports import PrimaryInput, PrimaryOutput
@@ -67,6 +69,12 @@ class ValueTrace(Monitor):
     def observe(self, cycle: int, values: Mapping[Net, int]) -> None:
         for net in self._nets:
             self.values[net].append(values[net])
+
+    def observe_block(
+        self, first_cycle: int, rows: np.ndarray, columns: Mapping[Net, int]
+    ) -> None:
+        for net in self._nets:
+            self.values[net].extend(rows[:, columns[net]].tolist())
 
     @property
     def cycles(self) -> int:

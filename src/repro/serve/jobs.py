@@ -330,6 +330,8 @@ class Job:
 
     id: str
     method: str
+    #: The parsed netlist while the job is queued or running; ``None``
+    #: once it has finished (``design_text`` stays).
     design: Optional[Design]
     design_name: str
     fingerprint: str
@@ -866,9 +868,12 @@ class JobService:
         """The one terminal transition: state, ``finished_at``, wake-up.
 
         Every path that ends a job comes through here, so :meth:`wait`
-        blocks on ``_finished`` instead of polling.
+        blocks on ``_finished`` instead of polling. The parsed design is
+        dropped: a finished job keeps only ``design_text``, from which a
+        recovered job is rebuilt anyway.
         """
         with self._finished:
+            job.design = None
             job.state = state
             if result is not None:
                 job.result = result

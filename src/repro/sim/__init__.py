@@ -41,6 +41,7 @@ from repro.sim.stimulus import (
     STIMULUS_PROFILES,
     SequenceStimulus,
     Stimulus,
+    StimulusTable,
     make_profile,
     normalize_stimulus_spec,
     profile_names,
@@ -90,6 +91,7 @@ __all__ = [
     "BurstyDataStream",
     "CorrelatedDataStream",
     "SequenceStimulus",
+    "StimulusTable",
     "CompositeStimulus",
     "random_stimulus",
     "STIMULUS_PROFILES",

@@ -63,6 +63,8 @@ from repro.netlist.nets import Net
 from repro.netlist.ports import Constant
 from repro.netlist.seq import Register, TransparentLatch
 from repro.netlist.traversal import combinational_order
+from repro.sim.monitor import popcount_u64
+from repro.sim.probes import evaluate_batch
 
 _MAX_WIDTH = 32
 
@@ -80,17 +82,6 @@ def cross_lane_ci(samples: np.ndarray, z: float = 1.96) -> Tuple[float, float]:
         return mean, math.inf
     half = z * float(samples.std(ddof=1)) / math.sqrt(len(samples))
     return mean, half
-
-
-def popcount_u64(array: np.ndarray) -> np.ndarray:
-    """Element-wise population count of a uint64 array (SWAR)."""
-    x = array.copy()
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + (
-        (x >> np.uint64(2)) & np.uint64(0x3333333333333333)
-    )
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
 
 
 class BatchMonitor:
@@ -173,7 +164,7 @@ class BatchProbe(BatchMonitor):
             name: ((values[net] >> np.uint64(bit)) & np.uint64(1)).astype(bool)
             for name, (net, bit) in self._resolved.items()
         }
-        result = _eval_expr_batch(self.expr, env, self.batch_size)
+        result = evaluate_batch(self.expr, env, self.batch_size)
         self.true_counts += result.astype(np.int64)
         self.cycles += 1
 
@@ -191,28 +182,6 @@ class BatchProbe(BatchMonitor):
         """Like :meth:`BatchToggleMonitor.toggle_rate_ci`: ``inf`` half-width
         when a single lane makes the cross-lane interval undefined."""
         return cross_lane_ci(self.per_lane_probabilities(), z)
-
-
-def _eval_expr_batch(expr, env: Mapping[str, np.ndarray], n: int) -> np.ndarray:
-    from repro.boolean.expr import And, Const, Not, Or, Var
-
-    if isinstance(expr, Const):
-        return np.full(n, expr.value, dtype=bool)
-    if isinstance(expr, Var):
-        return env[expr.name]
-    if isinstance(expr, Not):
-        return ~_eval_expr_batch(expr.child, env, n)
-    if isinstance(expr, And):
-        result = np.ones(n, dtype=bool)
-        for arg in expr.args:
-            result &= _eval_expr_batch(arg, env, n)
-        return result
-    if isinstance(expr, Or):
-        result = np.zeros(n, dtype=bool)
-        for arg in expr.args:
-            result |= _eval_expr_batch(arg, env, n)
-        return result
-    raise SimulationError(f"cannot batch-evaluate {type(expr).__name__}")
 
 
 # ----------------------------------------------------------------------

@@ -29,10 +29,12 @@ stably across the design's lineage.
 
 :class:`CompiledSimulator` mirrors the :class:`~repro.sim.engine.Simulator`
 interface (``step`` / ``commit`` / ``run`` / ``reset``) and is bit-exact
-with it. ``run`` additionally accumulates
-:class:`~repro.sim.monitor.ToggleMonitor` statistics through a
-numpy-vectorized fast path (per-cycle SWAR popcount over the whole value
-array) instead of the per-net Python loop.
+with it. ``run`` copies each observed cycle's value array into a
+``(cycles × nets)`` uint64 block and hands every full block of
+``_OBS_CHUNK`` cycles to each monitor's
+:meth:`~repro.sim.monitor.Monitor.observe_block`, so toggle counts,
+probe truth counts and value traces are accumulated as array operations
+rather than per cycle in Python.
 """
 
 from __future__ import annotations
@@ -76,9 +78,8 @@ from repro.netlist.partition import partition_blocks
 from repro.netlist.ports import Constant, PrimaryInput, PrimaryOutput
 from repro.netlist.seq import Register, TransparentLatch
 from repro.netlist.traversal import combinational_order
-from repro.sim.batch import popcount_u64
 from repro.sim.engine import SimulationResult
-from repro.sim.monitor import Monitor, ToggleMonitor
+from repro.sim.monitor import Monitor, NetValues
 from repro.sim.stimulus import Stimulus
 
 
@@ -729,7 +730,7 @@ class ProgramCache:
 
 _GLOBAL_CACHE = ProgramCache()
 
-#: Cycles buffered between vectorized toggle-count reductions.
+#: Cycles per value block handed to ``Monitor.observe_block``.
 _OBS_CHUNK = 256
 
 
@@ -741,30 +742,6 @@ def program_cache() -> ProgramCache:
 # ----------------------------------------------------------------------
 # The simulator
 # ----------------------------------------------------------------------
-class _NetValues(Mapping):
-    """Read-only ``Mapping[Net, int]`` view over the dense value array.
-
-    Handed to monitors so the compiled engine satisfies the same
-    observation interface as the reference engine without rebuilding a
-    dict per cycle.
-    """
-
-    __slots__ = ("_values", "_index")
-
-    def __init__(self, values: List[int], index: Dict[Net, int]) -> None:
-        self._values = values
-        self._index = index
-
-    def __getitem__(self, net: Net) -> int:
-        return self._values[self._index[net]]
-
-    def __iter__(self):
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-
 class CompiledSimulator:
     """Drop-in, bit-exact, compiled counterpart of :class:`Simulator`.
 
@@ -793,7 +770,7 @@ class CompiledSimulator:
         self._view_index = {
             design.net(name): idx for name, idx in program.net_index.items()
         }
-        self.values = _NetValues(self._values, self._view_index)
+        self.values = NetValues(self._values, self._view_index)
         self.cycle = 0
 
     # ------------------------------------------------------------------
@@ -846,10 +823,12 @@ class CompiledSimulator:
     ) -> SimulationResult:
         """Run ``cycles`` cycles, feeding ``stimulus`` and updating monitors.
 
-        Plain :class:`ToggleMonitor` instances are accumulated through a
-        vectorized fast path (per-cycle numpy popcount over the whole
-        value array); every other monitor observes through the usual
-        per-cycle mapping interface.
+        Observed cycles reach the monitors as value blocks of up to
+        ``_OBS_CHUNK`` cycles through
+        :meth:`~repro.sim.monitor.Monitor.observe_block`, each delivery
+        in a ``sim.observe`` span. On a design with a net wider than 63
+        bits, which a uint64 block cannot hold, monitors observe once
+        per cycle instead.
         """
         with obs.span(
             "sim.run",
@@ -869,69 +848,36 @@ class CompiledSimulator:
         warmup: int = 0,
     ) -> SimulationResult:
         monitors = list(monitors or [])
-        fast: List[ToggleMonitor] = []
-        generic: List[Monitor] = []
-        vectorizable = self.program.max_width <= 63
-        for monitor in monitors:
-            if type(monitor) is ToggleMonitor and vectorizable:
-                fast.append(monitor)
-            else:
-                generic.append(monitor)
         for monitor in monitors:
             monitor.begin(self.design)
-        toggles = ones = buffer = previous = None
-        observed = fill = 0
-        if fast:
-            toggles = np.zeros(self.program.n_values, dtype=np.uint64)
-            ones = np.zeros(self.program.n_values, dtype=np.uint64)
-            # Observations are buffered and popcounted in chunks: numpy
-            # per-call overhead on a ~n_values-sized array would dominate
-            # a per-cycle reduction.
-            buffer = np.empty((_OBS_CHUNK, self.program.n_values), dtype=np.uint64)
+        blocked = bool(monitors) and self.program.max_width <= 63
+        if blocked:
+            block = np.empty((_OBS_CHUNK, self.program.n_values), dtype=np.uint64)
+        fill = first_cycle = 0
 
-        def flush():
-            nonlocal previous, fill, toggles, ones
-            chunk = buffer[:fill]
-            ones += popcount_u64(chunk).sum(axis=0, dtype=np.uint64)
-            if previous is not None:
-                toggles += popcount_u64(previous ^ chunk[0])
-            if fill > 1:
-                toggles += popcount_u64(chunk[1:] ^ chunk[:-1]).sum(
-                    axis=0, dtype=np.uint64
-                )
-            previous = chunk[-1].copy()
-            fill = 0
+        def deliver():
+            rows = block[:fill]
+            with obs.span("sim.observe", "sim", cycles=fill, monitors=len(monitors)):
+                for monitor in monitors:
+                    monitor.observe_block(first_cycle, rows, self._view_index)
 
         for i in range(warmup + cycles):
             self.step(stimulus.values(self.cycle))
             if i >= warmup:
-                if fast:
-                    buffer[fill] = self._values
+                if not blocked:
+                    for monitor in monitors:
+                        monitor.observe(self.cycle, self.values)
+                else:
+                    if fill == 0:
+                        first_cycle = self.cycle
+                    block[fill] = self._values
                     fill += 1
-                    observed += 1
                     if fill == _OBS_CHUNK:
-                        flush()
-                for monitor in generic:
-                    monitor.observe(self.cycle, self.values)
+                        deliver()
+                        fill = 0
             self.commit()
-        if fast and fill:
-            flush()
-        for monitor in fast:
-            self._fill_toggle_monitor(monitor, toggles, ones, observed)
+        if fill:
+            deliver()
         for monitor in monitors:
             monitor.finish()
         return SimulationResult(cycles=cycles, monitors=monitors)
-
-    def _fill_toggle_monitor(
-        self,
-        monitor: ToggleMonitor,
-        toggles: np.ndarray,
-        ones: np.ndarray,
-        observed: int,
-    ) -> None:
-        index = self._view_index
-        for net in monitor._watched:
-            idx = index[net]
-            monitor.toggles[net] = int(toggles[idx])
-            monitor.ones[net] = int(ones[idx])
-        monitor.cycles = observed

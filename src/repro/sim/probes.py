@@ -8,18 +8,49 @@ evaluates one expression over the settled control-net values each cycle
 and reports the fraction of cycles it held.
 
 :class:`ProbeSet` batches many probes into one monitor so a single
-simulation run yields every probability the models ask for.
+simulation run yields every probability the models ask for. On a value
+block it evaluates each probe once, over all the block's cycles, with
+:func:`evaluate_batch` — the vectorized evaluator the batch engine's
+:class:`~repro.sim.batch.BatchProbe` applies across replications.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Mapping, Optional
 
-from repro.boolean.expr import Expr
+import numpy as np
+
+from repro.boolean.expr import And, Const, Expr, Not, Or, Var
 from repro.errors import SimulationError
 from repro.netlist.design import Design
 from repro.netlist.nets import Net
 from repro.sim.monitor import Monitor
+
+
+def evaluate_batch(expr: Expr, env: Mapping[str, np.ndarray], n: int) -> np.ndarray:
+    """Evaluate ``expr`` element-wise over length-``n`` boolean arrays.
+
+    ``env`` maps every variable of the expression's support to one bool
+    array; element ``i`` of the result is ``expr`` under element ``i``
+    of every variable (a cycle of a value block, or a lane of a batch).
+    """
+    if isinstance(expr, Const):
+        return np.full(n, expr.value, dtype=bool)
+    if isinstance(expr, Var):
+        return env[expr.name]
+    if isinstance(expr, Not):
+        return ~evaluate_batch(expr.child, env, n)
+    if isinstance(expr, And):
+        result = np.ones(n, dtype=bool)
+        for arg in expr.args:
+            result &= evaluate_batch(arg, env, n)
+        return result
+    if isinstance(expr, Or):
+        result = np.zeros(n, dtype=bool)
+        for arg in expr.args:
+            result |= evaluate_batch(arg, env, n)
+        return result
+    raise SimulationError(f"cannot batch-evaluate {type(expr).__name__}")
 
 
 class ExpressionProbe:
@@ -47,6 +78,20 @@ class ExpressionProbe:
         self._previous = value
         self.cycles += 1
         return value
+
+    def sample_block(self, values: np.ndarray) -> None:
+        """Account consecutive cycles' values at once (a bool array).
+
+        The first value is compared with the last one of the previous
+        block, so block boundaries count transitions like :meth:`sample`.
+        """
+        first, last = bool(values[0]), bool(values[-1])
+        self.true_cycles += int(np.count_nonzero(values))
+        self.transitions += int(np.count_nonzero(values[1:] != values[:-1]))
+        if self._previous is not None and first != self._previous:
+            self.transitions += 1
+        self._previous = last
+        self.cycles += len(values)
 
     @property
     def probability(self) -> float:
@@ -77,7 +122,9 @@ class ProbeSet(Monitor):
     """A monitor evaluating a dictionary of probes each cycle.
 
     All probes share one sampled environment containing every one-bit net
-    referenced by any probe, so adding probes is cheap.
+    referenced by any probe, so adding probes is cheap. A value block is
+    sampled into one bool array per variable and every probe evaluated
+    once over it.
     """
 
     def __init__(self, probes: Optional[Dict[str, Expr]] = None) -> None:
@@ -110,6 +157,18 @@ class ProbeSet(Monitor):
         env = sample_env(self._resolved, values)
         for probe in self._probes.values():
             probe.sample(env)
+
+    def observe_block(
+        self, first_cycle: int, rows: np.ndarray, columns: Mapping[Net, int]
+    ) -> None:
+        env = {
+            name: ((rows[:, columns[net]] >> np.uint64(bit)) & np.uint64(1)).astype(
+                bool
+            )
+            for name, (net, bit) in self._resolved.items()
+        }
+        for probe in self._probes.values():
+            probe.sample_block(evaluate_batch(probe.expr, env, len(rows)))
 
     # ------------------------------------------------------------------
     def probability(self, name: str) -> float:

@@ -35,7 +35,9 @@ from typing import (
     Sequence,
 )
 
-from repro.errors import StimulusError
+import numpy as np
+
+from repro.errors import SimulationError, StimulusError
 from repro.netlist.design import Design
 
 
@@ -351,6 +353,47 @@ class SequenceStimulus:
                 stacklevel=2,
             )
         return self.vectors[-1]
+
+
+class StimulusTable:
+    """Primary-input vectors drawn once from a stimulus, for replay.
+
+    :meth:`draw` queries a stimulus for cycles ``0 .. length - 1`` in
+    order, as a simulator run from reset does, and keeps each primary
+    input's value masked to the input's width in one ``(length ×
+    inputs)`` array. Replaying the table drives a design bit for bit like
+    the stimulus it was drawn from: :func:`repro.opt.optimize` draws once
+    per call and every estimation run of the call replays the table.
+    """
+
+    def __init__(self, names: Sequence[str], rows: np.ndarray) -> None:
+        self.names = tuple(names)
+        self.rows = rows
+
+    @classmethod
+    def draw(cls, stimulus: "Stimulus", design: Design, length: int) -> "StimulusTable":
+        """Draw ``length`` cycles of ``stimulus`` for ``design``'s inputs.
+
+        A vector that lacks one of the design's inputs raises the
+        :class:`~repro.errors.SimulationError` a simulator would, naming
+        the input and the cycle.
+        """
+        inputs = [(pi.name, pi.net("Y").mask) for pi in design.primary_inputs]
+        wide = any(mask >> 64 for _, mask in inputs)
+        rows = np.empty((length, len(inputs)), dtype=object if wide else np.uint64)
+        for cycle in range(length):
+            vector = stimulus.values(cycle)
+            try:
+                rows[cycle] = [vector[name] & mask for name, mask in inputs]
+            except KeyError as exc:
+                raise SimulationError(
+                    f"stimulus provides no value for primary input "
+                    f"{exc.args[0]!r} at cycle {cycle}"
+                ) from None
+        return cls([name for name, _ in inputs], rows)
+
+    def values(self, cycle: int) -> Mapping[str, int]:
+        return dict(zip(self.names, self.rows[cycle].tolist()))
 
 
 def random_stimulus(

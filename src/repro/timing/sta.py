@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro import obs
 from repro.errors import TimingError
 from repro.netlist.cells import Cell
 from repro.netlist.design import Design
@@ -62,7 +63,13 @@ def analyze_timing(
     family a common reference — benchmark flows analyse the original
     design first and reuse its period for the isolated variants.
     """
-    library = library or default_library()
+    with obs.span("timing.sta", "stage", design=design.name):
+        return _analyze_timing(design, library or default_library(), clock_period)
+
+
+def _analyze_timing(
+    design: Design, library: TechnologyLibrary, clock_period: Optional[float]
+) -> TimingReport:
     order = combinational_order(design)
 
     arrival: Dict[Net, float] = {}

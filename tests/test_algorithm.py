@@ -128,6 +128,31 @@ class TestAlgorithmBehaviour:
         result = isolate_design(d1, stim, IsolationConfig(cycles=300))
         assert result.baseline.power_mw > 0
 
+    def test_stimulus_factory_is_called_once_per_call(self, d1):
+        make = d1_stimulus(d1)
+        calls = []
+
+        def factory():
+            calls.append(None)
+            return make()
+
+        result = isolate_design(d1, factory, IsolationConfig(cycles=300))
+        assert result.timings.simulations > 2
+        assert len(calls) == 1
+
+    def test_stimulus_object_is_left_unadvanced(self, d1):
+        stim = random_stimulus(d1, seed=7)
+        config = IsolationConfig(cycles=300)
+        from_object = isolate_design(d1, stim, config)
+        from_factory = isolate_design(d1, lambda: random_stimulus(d1, seed=7), config)
+        fresh = random_stimulus(d1, seed=7)
+        # values() hands out one dict it refills per cycle: copy each.
+        assert [dict(stim.values(c)) for c in range(3)] == [
+            dict(fresh.values(c)) for c in range(3)
+        ]
+        assert from_object.isolated_names == from_factory.isolated_names
+        assert from_object.final.power_mw == from_factory.final.power_mw
+
     @pytest.mark.parametrize("style", ["and", "or", "latch"])
     def test_all_styles_equivalent_and_beneficial(self, d1, style):
         result = isolate_design(

@@ -52,6 +52,25 @@ class TestToggleMonitor:
         )
         assert list(mon.toggles) == [target]
 
+    def test_repeated_net_is_counted_once_on_every_engine(self):
+        from repro.designs import design1
+        from repro.sim import make_simulator, random_stimulus
+
+        design = design1()
+        net = design.net("S0")
+        monitors = {}
+        for engine in ("python", "compiled"):
+            mon = ToggleMonitor([net, net])
+            make_simulator(design, engine).run(
+                random_stimulus(design, seed=1), 300, [mon]
+            )
+            monitors[engine] = mon
+        python, compiled = monitors["python"], monitors["compiled"]
+        assert list(python.toggles) == [net]
+        assert python.toggles[net] == compiled.toggles[net]
+        assert python.ones[net] == compiled.ones[net] <= python.cycles
+        assert python.one_probability(net) == compiled.one_probability(net)
+
     def test_per_bit_rate(self, tiny_design):
         vectors = [{"A": 0x00, "C": 0, "S": 0, "G": 0}, {"A": 0xFF, "C": 0, "S": 0, "G": 0}]
         mon = ToggleMonitor()

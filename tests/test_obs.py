@@ -339,6 +339,50 @@ class TestPipelineTrace:
         )
         assert len(obs.find_spans(roots, "score.candidate")) == evaluations > 0
 
+    def test_stimulus_is_drawn_once_inside_the_baseline_estimate(self):
+        result, recorder = _isolate_traced()
+        (root,) = obs.find_spans(recorder.tracer.roots, "optimize")
+        estimates = obs.find_spans([root], "power.estimate")
+        assert len(estimates) == result.timings.simulations > 2
+        baseline = estimates[0]
+        assert [s.name for s in baseline.children] == ["stimulus.draw", "sim.run"]
+        (draw,) = obs.find_spans([root], "stimulus.draw")
+        assert draw is baseline.children[0]
+        assert draw.attrs["cycles"] == 150 + 8  # cycles + warmup
+        for later in estimates[1:]:
+            assert [s.name for s in later.children] == ["sim.run"]
+
+    def test_loop_work_is_attributed_to_spans(self):
+        _, recorder = _isolate_traced()
+        (root,) = obs.find_spans(recorder.tracer.roots, "optimize")
+        names = [s.name for s in root.children]
+        # Working copy, reference and baseline STA, baseline run ... final.
+        assert names[:4] == ["design.copy", "timing.sta", "timing.sta", "power.estimate"]
+        assert names[-2:] == ["power.estimate", "timing.sta"]
+        assert set(names[4:-2]) == {"optimize.iteration"}
+        for iteration in obs.find_spans([root], "optimize.iteration"):
+            enumerated = [
+                s.attrs["pass_name"]
+                for s in iteration.children
+                if s.name == "pass.enumerate"
+            ]
+            assert enumerated == ["isolation"]
+
+    def test_compiled_runs_deliver_observations_in_blocks(self):
+        design = design1()
+        recorder = obs.Recorder()
+        with obs.use(recorder):
+            isolate_design(
+                design,
+                lambda: random_stimulus(design, seed=4),
+                IsolationConfig(cycles=300, warmup=8, engine="compiled"),
+            )
+        for estimate in obs.find_spans(recorder.tracer.roots, "power.estimate"):
+            (run,) = obs.find_spans([estimate], "sim.run")
+            blocks = [s for s in run.children if s.name == "sim.observe"]
+            assert [s.attrs["cycles"] for s in blocks] == [256, 44]
+            assert all(s.attrs["monitors"] >= 1 for s in blocks)
+
     def test_pipeline_metrics_recorded(self):
         result, recorder = _isolate_traced()
         payload = recorder.metrics.to_dict()

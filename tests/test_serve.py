@@ -111,6 +111,23 @@ class TestJobLifecycle:
         finally:
             service.shutdown()
 
+    def test_finished_jobs_drop_the_parsed_design(self):
+        service = make_service()
+        try:
+            ran = service.wait(
+                service.submit("estimate", builtin="fig1", run=RUN).id,
+                timeout=120,
+            )
+            hit = service.submit("estimate", builtin="fig1", run=RUN)
+            assert not ran.cached and hit.cached
+            for job in (ran, hit):
+                job = service.wait(job.id, timeout=120)
+                assert job.state == DONE
+                assert service.get(job.id).design is None
+                assert textio.loads(job.design_text).name == "paper_fig1"
+        finally:
+            service.shutdown()
+
     def test_job_metadata_and_listing(self):
         service = make_service()
         try:

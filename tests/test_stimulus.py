@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from repro.errors import StimulusError
+from repro.errors import SimulationError, StimulusError
 from repro.sim.stimulus import (
     CompositeStimulus,
     ConstantStream,
     ControlStream,
     DataStream,
     SequenceStimulus,
+    StimulusTable,
     random_stimulus,
 )
 
@@ -170,3 +171,75 @@ class TestRandomStimulus:
         stim = random_stimulus(d1, seed=1, control_probability=0.1)
         ones = sum(stim.values(c)["S0"] for c in range(5000)) / 5000
         assert abs(ones - 0.1) < 0.05
+
+
+class TestStimulusTable:
+    def test_values_are_masked_to_each_input_width(self, tiny_design):
+        trace = SequenceStimulus([{"A": -1, "C": 0x1FF, "S": 3, "G": -2}])
+        table = StimulusTable.draw(trace, tiny_design, 2)
+        assert table.rows.shape == (2, 4)
+        assert table.values(0) == table.values(1) == {"A": 255, "C": 255, "S": 1, "G": 0}
+
+    def test_missing_input_names_the_input_and_cycle(self, tiny_design):
+        trace = SequenceStimulus(
+            [{"A": 1, "C": 1, "S": 0, "G": 1}, {"A": 1, "C": 1, "S": 0}]
+        )
+        with pytest.raises(SimulationError, match="input 'G' at cycle 1"):
+            StimulusTable.draw(trace, tiny_design, 3)
+
+
+def _recorded_csv(design, cycles, drop=(), corrupt=False):
+    """A CSV trace of ``random_stimulus``; ``corrupt`` writes every value
+    negative or over-wide, with the same low bits."""
+    stimulus = random_stimulus(design, seed=3)
+    names = [pi.name for pi in design.primary_inputs if pi.name not in drop]
+    widths = {pi.name: pi.net("Y").width for pi in design.primary_inputs}
+    rows = [",".join(names)]
+    for cycle in range(cycles):
+        vector = stimulus.values(cycle)
+        values = []
+        for i, name in enumerate(names):
+            value = vector[name]
+            if corrupt:
+                value = value - (1 << widths[name]) if i % 2 else value + (5 << widths[name])
+            values.append(str(value))
+        rows.append(",".join(values))
+    return "\n".join(rows) + "\n"
+
+
+class TestRecordedTracesUnderOptimize:
+    """An optimize run draws its stimulus once; recorded traces still
+    mask, run out and miss inputs the way a simulator run reports them."""
+
+    CONFIG = dict(cycles=100, warmup=8, engine="compiled")
+
+    def _optimize(self, design, stimulus):
+        from repro.opt import IsolationConfig, isolate_design
+
+        result = isolate_design(design, stimulus, IsolationConfig(**self.CONFIG))
+        payload = result.to_dict()
+        payload.pop("timings")
+        return payload
+
+    def test_negative_and_over_wide_values_are_masked(self, d1):
+        clean = SequenceStimulus.from_csv(_recorded_csv(d1, 108))
+        corrupt = SequenceStimulus.from_csv(_recorded_csv(d1, 108, corrupt=True))
+        assert corrupt.vectors != clean.vectors
+        assert self._optimize(d1, corrupt) == self._optimize(d1, clean)
+
+    def test_short_strict_trace_raises_at_the_first_missing_cycle(self, d1):
+        short = SequenceStimulus.from_csv(_recorded_csv(d1, 50), strict=True)
+        with pytest.raises(StimulusError, match="ends at cycle 49 but cycle 50"):
+            self._optimize(d1, short)
+
+    def test_short_trace_holds_its_last_vector(self, d1):
+        text = _recorded_csv(d1, 50)
+        held = text + "\n".join([text.strip().splitlines()[-1]] * 58) + "\n"
+        with pytest.warns(RuntimeWarning, match="CSV trace holds 50"):
+            short = self._optimize(d1, SequenceStimulus.from_csv(text))
+        assert short == self._optimize(d1, SequenceStimulus.from_csv(held))
+
+    def test_missing_input_names_the_input_and_cycle(self, d1):
+        trace = SequenceStimulus.from_csv(_recorded_csv(d1, 108, drop=("EN",)))
+        with pytest.raises(SimulationError, match="input 'EN' at cycle 0"):
+            self._optimize(d1, trace)
