@@ -49,7 +49,7 @@ from repro.parallel.shard import (
     merge_shard_stats,
     plan_shards,
     run_batch_sharded,
-    run_shard,
+    run_shards,
     shard_stats_from_monitors,
 )
 
@@ -72,6 +72,6 @@ __all__ = [
     "merge_shard_stats",
     "plan_shards",
     "run_batch_sharded",
-    "run_shard",
+    "run_shards",
     "shard_stats_from_monitors",
 ]

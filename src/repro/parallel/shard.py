@@ -2,8 +2,8 @@
 
 The batch engine's replications are i.i.d. by construction, which makes
 them embarrassingly parallel: split the ``batch_size`` lanes into
-**shards**, simulate each shard in its own process with its own
-deterministically derived stimulus seed, and merge the per-lane *count*
+**shards**, each with its own deterministically derived stimulus seed,
+simulate them across a process pool, and merge the per-lane *count*
 statistics afterwards. Because the merge concatenates integer counters
 keyed by shard index (never averages floats), the merged statistics are
 **bit-exact** regardless of worker count or completion order: running a
@@ -18,6 +18,12 @@ Two invariants make that guarantee hold:
   keyed hash of ``(seed, shard_index)``, so no two shards (or two base
   seeds) share a stimulus stream.
 
+Each worker runs the shards it owns as **one packed batch pass**
+(:func:`run_shards`): their stimuli are concatenated lane-wise and the
+per-lane counters are split back by shard afterwards. Lanes are
+independent, so packing moves no counter; it only fills a bitslice
+word that one shard alone would leave mostly empty.
+
 Typical use::
 
     run = run_batch_sharded(design, batch_size=32, cycles=500,
@@ -30,8 +36,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -48,8 +54,9 @@ from repro.sim.batch import (
     cross_lane_ci,
 )
 
-#: Default maximum lanes per shard: small enough that a 32-lane batch
-#: spreads over 4+ workers, large enough to amortize per-shard setup.
+#: Default maximum lanes per shard. It fixes the shard plan, and so the
+#: per-shard seeds and every result, not the speed: a worker packs all
+#: the shards it owns into one batch pass.
 DEFAULT_MAX_LANES_PER_SHARD = 8
 
 
@@ -123,7 +130,9 @@ class ShardStats:
 
     Everything is keyed by *name* (net / probe), holds integer counts
     (not rates), and is plain picklable data — the exchange format
-    between worker processes and the merging parent.
+    between worker processes and the merging parent. ``fallback_reason``
+    records why the pass that ran this shard degraded from the requested
+    batch engine, if it did.
     """
 
     shard_index: int
@@ -132,7 +141,7 @@ class ShardStats:
     toggle_counts: Dict[str, np.ndarray] = field(default_factory=dict)
     probe_true: Dict[str, np.ndarray] = field(default_factory=dict)
     probe_cycles: int = 0
-    elapsed_s: float = 0.0
+    fallback_reason: Optional[str] = None
 
 
 class MergedBatchStats:
@@ -234,9 +243,20 @@ def merge_shard_stats(
 # ----------------------------------------------------------------------
 # Shard execution
 # ----------------------------------------------------------------------
-def run_shard(
+class _PackedStimulus:
+    """Shard stimuli side by side: lanes concatenated in ``specs`` order."""
+
+    def __init__(self, parts: Sequence[BatchRandomStimulus]) -> None:
+        self.parts = parts
+
+    def values(self, cycle: int) -> Mapping[str, np.ndarray]:
+        rows = [part.values(cycle) for part in self.parts]
+        return {name: np.concatenate([row[name] for row in rows]) for name in rows[0]}
+
+
+def run_shards(
     design: Design,
-    spec: ShardSpec,
+    specs: Sequence[ShardSpec],
     cycles: int,
     warmup: int = 0,
     engine: str = "python",
@@ -245,23 +265,27 @@ def run_shard(
     nets: Optional[Sequence[str]] = None,
     checkpoint_every: Optional[int] = None,
     lane_width: Optional[int] = None,
-) -> ShardStats:
-    """Execute one shard and return its raw counters.
+) -> List[ShardStats]:
+    """Execute shards as one packed batch pass; one :class:`ShardStats` each.
 
-    This is the function worker processes run; it is also directly
-    usable for manual shard execution (e.g. the checkpoint/resume
-    determinism tests drive single shards through it and resume them
-    with :class:`~repro.sim.batch.BatchCheckpoint`).
+    One :class:`~repro.sim.batch.BatchSimulator` runs ``sum(spec.lanes)``
+    lanes. Its stimulus is each shard's own
+    :class:`~repro.sim.batch.BatchRandomStimulus` (seeded with
+    ``spec.seed``), concatenated lane-wise in ``specs`` order, and each
+    shard's counters are sliced back out of the monitors by lane range.
+    Lanes are independent, so every shard's counters equal those of a
+    run of that shard alone. Worker processes run this function; it is
+    also directly usable for manual shard execution.
     """
+    lanes = sum(spec.lanes for spec in specs)
     with obs.span(
         "shard.run",
         "sim",
         design=design.name,
-        shard=spec.index,
-        lanes=spec.lanes,
+        shards=len(specs),
+        lanes=lanes,
         cycles=cycles,
     ):
-        start = time.perf_counter()
         restrict = (
             [design.net(name) for name in nets] if nets is not None else None
         )
@@ -270,17 +294,21 @@ def run_shard(
             BatchProbe(name, expr) for name, expr in sorted((probes or {}).items())
         ]
         # stacklevel=3: attribute a bitslice->compiled degradation warning
-        # to whoever invoked run_shard, not to this wrapper.
+        # to whoever invoked run_shards, not to this wrapper.
         simulator = BatchSimulator(
             design,
-            batch_size=spec.lanes,
+            batch_size=lanes,
             engine=engine,
             lane_width=lane_width,
             stacklevel=3,
         )
-        stimulus = BatchRandomStimulus(
-            design, batch_size=spec.lanes, seed=spec.seed, **dict(stimulus_kwargs or {})
-        )
+        stimulus = _PackedStimulus([
+            BatchRandomStimulus(
+                design, batch_size=spec.lanes, seed=spec.seed,
+                **dict(stimulus_kwargs or {}),
+            )
+            for spec in specs
+        ])
         monitors = simulator.run(
             stimulus,
             cycles,
@@ -288,13 +316,25 @@ def run_shard(
             warmup=warmup,
             checkpoint_every=checkpoint_every,
         )
-        return shard_stats_from_monitors(spec, monitors, time.perf_counter() - start)
+        results = []
+        lane0 = 0
+        for spec in specs:
+            stats = shard_stats_from_monitors(spec, monitors, lane0)
+            stats.fallback_reason = simulator.fallback_reason
+            results.append(stats)
+            lane0 += spec.lanes
+        return results
 
 
 def shard_stats_from_monitors(
-    spec: ShardSpec, monitors: Sequence[object], elapsed_s: float = 0.0
+    spec: ShardSpec, monitors: Sequence[object], lane0: int = 0
 ) -> ShardStats:
-    """Convert live monitors of one shard run into picklable counters."""
+    """Picklable counters of one shard, from the live monitors of a run.
+
+    The shard's lanes are ``lane0 .. lane0 + spec.lanes - 1`` of the
+    monitors' batch.
+    """
+    lanes = slice(lane0, lane0 + spec.lanes)
     toggle_counts: Dict[str, np.ndarray] = {}
     probe_true: Dict[str, np.ndarray] = {}
     cycles = 0
@@ -303,10 +343,10 @@ def shard_stats_from_monitors(
         if isinstance(monitor, BatchToggleMonitor):
             cycles = monitor.cycles
             for net, counts in monitor.toggles.items():
-                toggle_counts[net.name] = counts.copy()
+                toggle_counts[net.name] = counts[lanes].copy()
         elif isinstance(monitor, BatchProbe):
             probe_cycles = monitor.cycles
-            probe_true[monitor.name] = monitor.true_counts.copy()
+            probe_true[monitor.name] = monitor.true_counts[lanes].copy()
     return ShardStats(
         shard_index=spec.index,
         lanes=spec.lanes,
@@ -314,15 +354,14 @@ def shard_stats_from_monitors(
         toggle_counts=toggle_counts,
         probe_true=probe_true,
         probe_cycles=probe_cycles,
-        elapsed_s=elapsed_s,
     )
 
 
-def _run_shard_payload(payload: dict) -> ShardStats:
+def _run_shards_payload(payload: dict) -> List[ShardStats]:
     """Module-level worker shim for :class:`~repro.parallel.pool.WorkerPool`."""
-    return run_shard(
+    return run_shards(
         payload["design"],
-        payload["spec"],
+        payload["specs"],
         payload["cycles"],
         warmup=payload["warmup"],
         engine=payload["engine"],
@@ -330,22 +369,48 @@ def _run_shard_payload(payload: dict) -> ShardStats:
         stimulus_kwargs=payload["stimulus_kwargs"],
         nets=payload["nets"],
         checkpoint_every=payload["checkpoint_every"],
-        lane_width=payload.get("lane_width"),
+        lane_width=payload["lane_width"],
     )
+
+
+def _group_plan(
+    plan: Sequence[ShardSpec], n_groups: int
+) -> List[Tuple[ShardSpec, ...]]:
+    """Cut ``plan`` into ``n_groups`` contiguous, lane-balanced groups.
+
+    Each cut lands where the running lane count comes closest to its
+    share of the total (the first such place on a tie), and no group is
+    empty: a pure function of the plan and the group count.
+    """
+    before = list(accumulate((spec.lanes for spec in plan), initial=0))
+    cuts = [0]
+    for k in range(1, n_groups):
+        target = before[-1] * k / n_groups
+        candidates = range(cuts[-1] + 1, len(plan) - (n_groups - k) + 1)
+        cuts.append(min(candidates, key=lambda i: abs(before[i] - target)))
+    cuts.append(len(plan))
+    return [tuple(plan[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 @dataclass
 class ShardedRun:
-    """Everything :func:`run_batch_sharded` produces."""
+    """Everything :func:`run_batch_sharded` produces.
+
+    ``report.tasks`` counts the packed passes (one per worker's group
+    of shards), and ``report.task_seconds`` holds their times.
+    """
 
     stats: MergedBatchStats
     report: ParallelReport
     plan: Tuple[ShardSpec, ...]
 
     @property
-    def shard_timings(self) -> List[Tuple[int, float]]:
-        """(shard index, seconds) pairs, for the ``--json`` reports."""
-        return [(s.shard_index, s.elapsed_s) for s in self.stats.shards]
+    def fallback_reason(self) -> Optional[str]:
+        """The distinct batch-engine degradations, then the pool's, joined
+        by ``"; "``; ``None`` when nothing degraded."""
+        reasons = [s.fallback_reason for s in self.stats.shards]
+        reasons.append(self.report.fallback_reason)
+        return "; ".join(dict.fromkeys(r for r in reasons if r)) or None
 
 
 def run_batch_sharded(
@@ -369,10 +434,12 @@ def run_batch_sharded(
 
     The result is bit-exact across worker counts: the shard plan and
     per-shard seeds depend only on ``(seed, batch_size, n_shards)``, and
-    the merge concatenates integer counters in shard-index order.
-    ``pool`` lets callers reuse a :class:`WorkerPool` across runs; pool
-    failures degrade to in-process execution and are recorded in the
-    returned report's ``fallback_reason``.
+    the merge concatenates integer counters in shard-index order. The
+    plan is cut into ``min(workers, len(plan))`` contiguous groups, and
+    each group runs as one packed pass (:func:`run_shards`) in one pool
+    task. ``pool`` lets callers reuse a :class:`WorkerPool` across runs;
+    pool failures degrade to in-process execution and are recorded in
+    the returned report's ``fallback_reason``.
     """
     plan = plan_shards(
         batch_size,
@@ -380,10 +447,12 @@ def run_batch_sharded(
         n_shards=n_shards,
         max_lanes_per_shard=max_lanes_per_shard,
     )
+    own_pool = pool is None
+    pool = pool if pool is not None else WorkerPool(workers)
     payloads = [
         {
             "design": design,
-            "spec": spec,
+            "specs": group,
             "cycles": cycles,
             "warmup": warmup,
             "engine": engine,
@@ -393,17 +462,15 @@ def run_batch_sharded(
             "checkpoint_every": checkpoint_every,
             "lane_width": lane_width,
         }
-        for spec in plan
+        for group in _group_plan(plan, min(pool.workers, len(plan)))
     ]
-    own_pool = pool is None
-    pool = pool if pool is not None else WorkerPool(workers)
     try:
-        shard_results = pool.map(_run_shard_payload, payloads)
+        group_results = pool.map(_run_shards_payload, payloads)
     finally:
         if own_pool:
             pool.close()
     return ShardedRun(
-        stats=merge_shard_stats(shard_results),
+        stats=merge_shard_stats(*group_results),
         report=pool.report(),
         plan=plan,
     )

@@ -290,5 +290,5 @@ def estimate_power_ci(
         cycles=cfg.cycles,
         workers=sharded.report.workers,
         shards=len(sharded.plan),
-        fallback_reason=sharded.report.fallback_reason,
+        fallback_reason=sharded.fallback_reason,
     )

@@ -203,12 +203,30 @@ class BatchControlStream:
         self.state = np.full(batch_size, self._initial, dtype=np.uint64)
 
     def next_values(self, rng: np.random.Generator) -> np.ndarray:
-        draws = rng.random(self.state.shape[0])
-        ones = self.state.astype(bool)
-        fall = ones & (draws < self._a)
-        rise = ~ones & (draws < self._b)
-        self.state = np.where(fall, 0, np.where(rise, 1, self.state)).astype(np.uint64)
-        return self.state
+        return self.next_block(rng.random((1, self.state.shape[0])))[0]
+
+    def next_block(self, draws: np.ndarray) -> np.ndarray:
+        """The values of ``len(draws)`` cycles, one row of doubles each.
+
+        A lane at 1 falls when its double ``u`` is below ``a``, a lane
+        at 0 rises when ``u`` is below ``b``. With ``f = u < a`` and
+        ``r = u < b``, ``f ^ r`` forces the state to ``r``, ``f & r``
+        toggles it, anything else holds it. So a value is the forced
+        value at the last forced cycle (or the carried state) XOR the
+        toggle parity since then.
+        """
+        cycles, lanes = draws.shape
+        fall = draws < self._a
+        rise = draws < self._b
+        last = np.where(fall ^ rise, np.arange(cycles)[:, None], -1)
+        np.maximum.accumulate(last, axis=0, out=last)
+        parity = np.bitwise_xor.accumulate(fall & rise, axis=0)
+        forced = last >= 0
+        anchor = (np.maximum(last, 0), np.arange(lanes))
+        base = np.where(forced, rise[anchor], self.state.astype(bool))
+        values = (base ^ parity ^ (forced & parity[anchor])).astype(np.uint64)
+        self.state = values[-1].copy()
+        return values
 
 
 class BatchDataStream:
@@ -228,20 +246,48 @@ class BatchDataStream:
         )
 
     def next_values(self, rng: np.random.Generator) -> np.ndarray:
-        # One (width, n) draw consumes the generator stream in the same
-        # order as the historical per-bit draws, so the values are
-        # bit-identical to the loop form — just one rng call per cycle.
+        return self.next_block(rng.random((1, self.width * self.state.shape[0])))[0]
+
+    def next_block(self, draws: np.ndarray) -> np.ndarray:
+        """The values of ``len(draws)`` cycles, one row of doubles each.
+
+        Row ``t`` holds cycle ``t``'s draw in ``(width, n)`` order, the
+        order of the historical per-bit draws; bit ``b`` of lane ``j``
+        flips when its double is below the density. The flips fold into
+        one XOR mask per cycle, and the values are the carried state XOR
+        the running XOR of the masks.
+        """
         n = self.state.shape[0]
-        flip = rng.random((self.width, n)) < self.density
+        flip = draws.reshape(len(draws), self.width, n) < self.density
         weights = np.uint64(1) << np.arange(self.width, dtype=np.uint64)
-        self.state ^= (flip.astype(np.uint64).T * weights).sum(
-            axis=1, dtype=np.uint64
-        )
-        return self.state
+        masks = np.einsum("cwn,w->cn", flip.astype(np.uint64), weights)
+        values = np.bitwise_xor.accumulate(masks, axis=0)
+        values ^= self.state
+        self.state = values[-1].copy()
+        return values
+
+
+#: Bytes of uniform doubles one block draw of :class:`BatchRandomStimulus`
+#: asks for; the block spans as many cycles as fit, and at least one.
+_BLOCK_DRAW_BYTES = 1 << 20
 
 
 class BatchRandomStimulus:
-    """Per-input batched streams, independent across replications."""
+    """Per-input batched streams, independent across replications.
+
+    Each stimulus owns its streams: override objects are copied, since
+    ``begin`` resets their Markov state and a shared object would carry
+    one stimulus's state into another.
+
+    When every stream is exactly a :class:`BatchControlStream` or a
+    :class:`BatchDataStream`, each cycle's draw sizes are known in
+    advance, so one ``Generator.random`` call per block of cycles yields
+    the doubles the per-cycle calls would, sliced per stream in
+    sorted-name order: the values are bit-identical. Any other stream
+    (a subclass included) keeps the whole stimulus on per-cycle draws,
+    because draws interleave by stream within each cycle. ``values``
+    advances one cycle per new ``cycle`` argument either way.
+    """
 
     def __init__(
         self,
@@ -266,18 +312,51 @@ class BatchRandomStimulus:
         for name, stream in (overrides or {}).items():
             if name not in self._streams:
                 raise StimulusError(f"override for unknown input {name!r}")
-            self._streams[name] = stream
-        for name in sorted(self._streams):
+            self._streams[name] = copy.deepcopy(stream)
+        self._names = sorted(self._streams)
+        for name in self._names:
             self._streams[name].begin(batch_size, self._rng)
         self._cycle = -1
         self._current: Dict[str, np.ndarray] = {}
+        # Block geometry; zero block cycles means per-cycle draws.
+        self._draws_per_cycle = self._block_cycles = 0
+        if all(
+            type(stream) in (BatchControlStream, BatchDataStream)
+            for stream in self._streams.values()
+        ):
+            self._draws_per_cycle = batch_size * sum(
+                stream.width for stream in self._streams.values()
+            )
+            self._block_cycles = max(
+                1, _BLOCK_DRAW_BYTES // (8 * max(1, self._draws_per_cycle))
+            )
+        self._block: Dict[str, np.ndarray] = {}
+        self._row = self._block_cycles  # the first cycle draws a block
 
     def values(self, cycle: int) -> Mapping[str, np.ndarray]:
         if cycle != self._cycle:
             self._cycle = cycle
-            for name in sorted(self._streams):
-                self._current[name] = self._streams[name].next_values(self._rng)
+            if not self._block_cycles:
+                for name in self._names:
+                    self._current[name] = self._streams[name].next_values(self._rng)
+                return self._current
+            if self._row == self._block_cycles:
+                self._draw_block()
+            row = self._row
+            self._row += 1
+            self._current = {name: block[row] for name, block in self._block.items()}
         return self._current
+
+    def _draw_block(self) -> None:
+        cycles, per_cycle = self._block_cycles, self._draws_per_cycle
+        draws = self._rng.random(cycles * per_cycle).reshape(cycles, per_cycle)
+        start = 0
+        for name in self._names:
+            stream = self._streams[name]
+            end = start + stream.width * self.batch_size
+            self._block[name] = stream.next_block(draws[:, start:end])
+            start = end
+        self._row = 0
 
 
 class BroadcastStimulus:
@@ -356,7 +435,7 @@ class BatchSimulator:
         # ``stacklevel`` controls where the bitslice->compiled degradation
         # RuntimeWarning is attributed. The default 2 names whoever
         # constructed the simulator; wrappers that build one on a caller's
-        # behalf (e.g. :func:`repro.parallel.run_shard`) pass 3 so the
+        # behalf (e.g. :func:`repro.parallel.run_shards`) pass 3 so the
         # warning lands on *their* caller's file, not a line inside
         # ``repro``.
         # The lockstep "checked" mode exists only for the scalar engines;

@@ -9,10 +9,16 @@ from repro.sim.stimulus import ControlStream, random_stimulus
 from repro.verify import check_observable_equivalence
 
 
-def d1_stimulus(design, en=ControlStream(0.2, 0.1), seed=7):
+def d1_stimulus(design, en=(0.2, 0.1), seed=7):
+    """Factory of design1 stimuli; ``en`` is ``ControlStream``'s arguments,
+    so every stimulus gets a fresh EN stream."""
+
     def make():
         return random_stimulus(
-            design, seed=seed, control_probability=0.35, overrides={"EN": en}
+            design,
+            seed=seed,
+            control_probability=0.35,
+            overrides={"EN": ControlStream(*en)},
         )
 
     return make
@@ -92,7 +98,7 @@ class TestAlgorithmBehaviour:
         """With EN always high the multipliers never idle."""
         result = isolate_design(
             d1,
-            d1_stimulus(d1, en=ControlStream(1.0)),
+            d1_stimulus(d1, en=(1.0,)),
             IsolationConfig(cycles=400),
         )
         assert "mul0" not in result.isolated_names
@@ -157,7 +163,7 @@ class TestAlgorithmBehaviour:
     def test_all_styles_equivalent_and_beneficial(self, d1, style):
         result = isolate_design(
             d1,
-            d1_stimulus(d1, en=ControlStream(0.15, 0.05)),
+            d1_stimulus(d1, en=(0.15, 0.05)),
             IsolationConfig(style=style, cycles=500),
         )
         assert result.power_reduction > 0.3

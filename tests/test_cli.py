@@ -129,6 +129,43 @@ class TestErrors:
             main(["report", "--builtin", "fig1", "--override", "G0=0.1:0.9"]) == 2
         )
 
+
+class TestOverrideStimuli:
+    """Every stimulus the CLI makes starts its ``--override`` streams fresh."""
+
+    ARGS = [
+        "--builtin", "design1", "--override", "EN=0.2:0.05",
+        "--cycles", "200", "--seed", "1",
+    ]
+
+    def test_each_stimulus_starts_en_fresh(self):
+        # The --verify-cycles stimulus of `optimize` is the factory's
+        # second product, made after the optimizer drew the first.
+        from repro.cli import _stimulus_factory, build_parser
+        from repro.designs import design1
+
+        args = build_parser().parse_args(["optimize", *self.ARGS])
+        make = _stimulus_factory(design1(), args)
+        first = make()
+        trace = [first.values(cycle)["EN"] for cycle in range(216)]
+        assert trace[-1] == 1  # a shared stream would start the next one high
+        second = make()
+        assert [second.values(cycle)["EN"] for cycle in range(216)] == trace
+
+    def test_compare_rows_equal_single_style_runs(self, capsys):
+        assert main(["compare", *self.ARGS, "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        for style, row in zip(["and", "or", "latch"], rows[1:]):
+            assert main(
+                ["isolate", *self.ARGS, "--style", style,
+                 "--verify-cycles", "0", "--json"]
+            ) == 0
+            single = json.loads(capsys.readouterr().out)
+            assert row["power_mw"] == single["power_mw"]["after"]
+            assert row["area_um2"] == single["area_um2"]["after"]
+            assert row["slack_ns"] == single["slack_ns"]["after"]
+
+
 class TestJsonOutput:
     """With --json, stdout carries exactly one parseable JSON document;
     notices and diagnostics go to stderr."""
