@@ -21,7 +21,7 @@ from repro.netlist.design import Design
 from repro.power.estimator import PowerEstimator
 from repro.power.library import TechnologyLibrary, default_library
 from repro.runconfig import RunConfig
-from repro.sim.engine import Simulator, make_simulator
+from repro.sim.engine import make_simulator
 from repro.sim.monitor import ToggleMonitor
 from repro.sim.stimulus import Stimulus
 from repro.timing.impact import estimate_isolation_impact
@@ -76,11 +76,8 @@ def assess_candidate(
     library: TechnologyLibrary,
     timing,
 ) -> RankedCandidate:
-    """The full what-if assessment of one (non-always-active) candidate.
-
-    Pure per-candidate computation against a calibrated cost model —
-    also the unit of work the :mod:`repro.parallel` pool dispatches.
-    """
+    """The full what-if assessment of one (non-always-active) candidate:
+    pure computation against a calibrated cost model."""
     score = cost_model.evaluate(candidate, style)
     impact = estimate_isolation_impact(
         design, candidate.cell, candidate.activation, style, library, timing
@@ -115,10 +112,9 @@ def rank_candidates(
     """Assess every candidate of ``design`` under ``stimulus``.
 
     Returns candidates sorted by descending ``h(c)``. The design is not
-    modified. Run control comes from ``run=RunConfig(...)`` (including
-    ``workers`` — per-candidate assessments go to the process pool, with
-    results identical to the serial loop), else the :class:`RunConfig`
-    defaults.
+    modified. Run control (``cycles``, ``warmup``, ``engine``) comes from
+    ``run=RunConfig(...)``, else the :class:`RunConfig` defaults; the
+    call runs in-process, so ``workers`` does not reach it.
     """
     cfg = run or RunConfig()
     library = library or default_library()
@@ -154,19 +150,6 @@ def rank_candidates(
     period = clock_period if clock_period is not None else reference.clock_period * 1.25
     timing = analyze_timing(design, library, clock_period=period)
 
-    # Assess the non-trivial candidates, serially or on the worker pool
-    # (lazy import: repro.parallel imports this module's RankedCandidate).
-    from repro.parallel.pool import WorkerPool
-    from repro.parallel.scoring import rank_chunked
-
-    assessable = [
-        c.name for c in candidates if not c.isolated and not c.always_active
-    ]
-    with WorkerPool(cfg.workers) as pool:
-        assessed = rank_chunked(
-            cost_model, assessable, design, style, library, timing, pool
-        )
-
     ranked: List[RankedCandidate] = []
     for candidate in candidates:
         if candidate.isolated:
@@ -189,7 +172,9 @@ def rank_candidates(
                 )
             )
             continue
-        ranked.append(assessed[candidate.name])
+        ranked.append(
+            assess_candidate(candidate, cost_model, design, style, library, timing)
+        )
     ranked.sort(key=lambda r: r.h, reverse=True)
     return ranked
 

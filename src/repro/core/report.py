@@ -4,7 +4,8 @@
 isolation alone by default) once per isolation style on the same
 design/stimulus and collects a :class:`StyleComparison`: power, area and
 worst slack for the non-isolated design and each isolated variant, with
-the percentage deltas the paper reports.
+the percentage deltas the paper reports. The per-style runs are
+independent, so with ``workers > 1`` they run on a process pool.
 """
 
 from __future__ import annotations
@@ -47,18 +48,30 @@ class StyleRow:
 
 @dataclass
 class StyleComparison:
-    """A full Table-1/Table-2 style comparison."""
+    """A full Table-1/Table-2 style comparison.
+
+    ``fallback_reason`` is set when the per-style process pool failed and
+    the runs degraded to the serial loop (same rows, recorded why).
+    """
 
     design_name: str
     rows: List[StyleRow] = field(default_factory=list)
     #: The optimizer result behind each isolated row, keyed by style.
     results: Dict[str, "OptimizeResult"] = field(default_factory=dict)
+    fallback_reason: Optional[str] = None
 
     def row(self, label: str) -> StyleRow:
         for row in self.rows:
             if row.label == label:
                 return row
         raise KeyError(label)
+
+
+def _optimize_style(payload: dict) -> "OptimizeResult":
+    """Pool task: one full optimizer run for one style."""
+    from repro.opt import optimize
+
+    return optimize(**payload)
 
 
 def compare_styles(
@@ -78,11 +91,14 @@ def compare_styles(
     is one :func:`repro.opt.optimize` run with ``passes`` (default
     ``["isolation"]``, the paper's Algorithm 1). Given explicitly — e.g.
     ``passes=["isolation", "clock_gating"]`` — rows also carry per-pass
-    estimated savings in :attr:`StyleRow.pass_savings`.
+    estimated savings in :attr:`StyleRow.pass_savings`. With
+    ``workers > 1`` the style runs go to a process pool, one task each;
+    rows are bit-exact with the serial loop for deterministic stimulus
+    sources, and a failing pool degrades to that loop with
+    :attr:`StyleComparison.fallback_reason` set.
     """
     from repro.opt.framework import IsolationConfig, _stimulus_of
     from repro.parallel.pool import WorkerPool
-    from repro.parallel.scoring import optimize_styles
 
     base_config = config or IsolationConfig()
     if run is not None:
@@ -90,24 +106,26 @@ def compare_styles(
     library = library or default_library()
     styles = styles or ["and", "or", "latch"]
 
-    # With workers > 1 the per-style runs are independent, so they go to
-    # the process pool (repro.parallel.optimize_styles); each pooled run
-    # scores serially to avoid nested pools. Results are bit-exact with
-    # the serial loop for deterministic stimulus sources.
-    style_configs = [
-        dataclasses.replace(base_config, style=style) for style in styles
+    # A pool task gets a materialised stimulus (a factory may not
+    # pickle), which optimize deep-copies once and draws from.
+    payloads = [
+        {
+            "design": design,
+            "stimulus": _stimulus_of(stimulus),
+            "passes": list(passes or ("isolation",)),
+            "config": dataclasses.replace(base_config, style=style),
+            "library": library,
+        }
+        for style in styles
     ]
     with WorkerPool(base_config.workers) as pool:
-        results = optimize_styles(
-            design,
-            lambda: _stimulus_of(stimulus),
-            style_configs,
-            library,
-            passes=passes or ("isolation",),
-            pool=pool,
-        )
+        results = pool.map(_optimize_style, payloads)
+    for result in results:
+        result.original = design  # re-bind identity lost in pickling
 
-    comparison = StyleComparison(design_name=design.name)
+    comparison = StyleComparison(
+        design_name=design.name, fallback_reason=pool.fallback_reason
+    )
     for style, result in zip(styles, results):
         comparison.results[style] = result
         if not comparison.rows:
@@ -169,5 +187,9 @@ def format_comparison_table(comparison: StyleComparison) -> str:
             f"{row.label:<14} {row.power_mw:>10.4f} {power_pct:>8} "
             f"{row.area:>12.0f} {area_pct:>8} {row.slack:>10.3f} {slack_pct:>8}"
             + pass_cells
+        )
+    if comparison.fallback_reason:
+        lines.append(
+            f"note: style runs degraded to serial ({comparison.fallback_reason})"
         )
     return "\n".join(lines)

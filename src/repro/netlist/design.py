@@ -3,7 +3,7 @@
 A :class:`Design` owns all nets and cells, maintains the driver/reader
 links between them, hands out fresh unique names (needed by netlist
 transforms such as isolation insertion), and supports structural rewiring
-and deep copying.
+and copying.
 """
 
 from __future__ import annotations
@@ -263,9 +263,31 @@ class Design:
 
     # ------------------------------------------------------------------
     def copy(self, name: Optional[str] = None) -> "Design":
-        """Deep structural copy (used to compare pre/post-isolation)."""
+        """Structural copy: fresh nets and cells under the same names.
+
+        Every cell is a shallow copy rebound to the new nets, so it keeps
+        all its attributes (``isolation_role``, ``clock_gated``, ...);
+        every net keeps its readers in order, and the copy hands out the
+        same fresh names next. Built in flat passes over nets and cells:
+        ``copy.deepcopy`` recurses along net → cell chains and exceeds
+        the interpreter's recursion limit from about 170 cells on.
+        """
         with obs.span("design.copy", "stage", design=self.name):
-            dup = copy.deepcopy(self)
+            dup = copy.copy(self)
+            nets = {id(net): Net(net.name, net.width) for net in self._nets.values()}
+            cells = {}
+            for cell in self._cells.values():
+                twin = cells[id(cell)] = copy.copy(cell)
+                twin._conn = {port: nets[id(net)] for port, net in cell._conn.items()}
+            for net in self._nets.values():
+                twin = nets[id(net)]
+                if net.driver is not None:
+                    twin.driver = Pin(cells[id(net.driver.cell)], net.driver.port, twin)
+                twin.readers = [
+                    Pin(cells[id(pin.cell)], pin.port, twin) for pin in net.readers
+                ]
+            dup._nets = {key: nets[id(net)] for key, net in self._nets.items()}
+            dup._cells = {key: cells[id(cell)] for key, cell in self._cells.items()}
         if name is not None:
             dup.name = name
         return dup

@@ -102,13 +102,12 @@ class IsolationConfig:
         (compiled + reference in lockstep with periodic
         cross-comparison; raises on any divergence).
     workers:
-        Process-pool width for the per-candidate scoring stage
-        (:mod:`repro.parallel`): ``1`` = serial, ``0`` = auto (one
-        worker per CPU), ``n > 1`` = a pool of ``n`` workers. Defaults
-        to the ``REPRO_WORKERS`` environment variable (else 1). Greedy
-        selection is bit-identical across worker counts; pool failures
-        degrade to serial with a recorded
-        ``StageTimings.pool_fallback_reason``.
+        Process-pool width of :func:`~repro.core.report.compare_styles`'
+        per-style runs: ``1`` = serial, ``0`` = auto (one worker per
+        CPU), ``n > 1`` = a pool of ``n`` workers. Defaults to the
+        ``REPRO_WORKERS`` environment variable (else 1). One
+        :func:`optimize` call always runs in-process, so results never
+        depend on it.
 
     Values that would silently give wrong results (an unknown style,
     fewer than two cycles, a non-positive clock, negative counts) raise
@@ -197,16 +196,7 @@ class StageTimings:
     ``fallback_reason`` is set when a requested compiled backend could
     not be built and the run gracefully degraded to the python
     reference engine (see :func:`repro.sim.engine.make_simulator`);
-    ``engine`` then still names what was *requested*. Likewise
-    ``pool_fallback_reason`` is set when a requested worker pool failed
-    and candidate scoring degraded to serial execution
-    (:class:`repro.parallel.WorkerPool`); ``workers`` still names the
-    resolved request.
-
-    ``parallel_tasks`` / ``parallel_busy_s`` / ``parallel_wall_s``
-    account for pooled scoring work: tasks dispatched, summed in-worker
-    seconds, and wall-clock seconds the parent spent waiting on the
-    pool. ``worker_utilization`` is busy / (workers × wall).
+    ``engine`` then still names what was *requested*.
     """
 
     simulate_s: float = 0.0
@@ -215,22 +205,10 @@ class StageTimings:
     simulations: int = 0
     engine: str = "python"
     fallback_reason: Optional[str] = None
-    workers: int = 1
-    parallel_tasks: int = 0
-    parallel_busy_s: float = 0.0
-    parallel_wall_s: float = 0.0
-    pool_fallback_reason: Optional[str] = None
 
     @property
     def total_s(self) -> float:
         return self.simulate_s + self.score_s + self.transform_s
-
-    @property
-    def worker_utilization(self) -> float:
-        """Fraction of the pool's capacity kept busy (0 when unused)."""
-        if self.workers <= 1 or self.parallel_wall_s <= 0.0:
-            return 0.0
-        return self.parallel_busy_s / (self.workers * self.parallel_wall_s)
 
     def to_dict(self) -> dict:
         payload = {
@@ -240,19 +218,9 @@ class StageTimings:
             "total_s": self.total_s,
             "simulations": self.simulations,
             "engine": self.engine,
-            "workers": self.workers,
         }
         if self.fallback_reason is not None:
             payload["fallback_reason"] = self.fallback_reason
-        if self.workers > 1 or self.parallel_tasks:
-            payload["parallel"] = {
-                "tasks": self.parallel_tasks,
-                "busy_s": self.parallel_busy_s,
-                "wall_s": self.parallel_wall_s,
-                "utilization": self.worker_utilization,
-            }
-        if self.pool_fallback_reason is not None:
-            payload["pool_fallback_reason"] = self.pool_fallback_reason
         return payload
 
     @classmethod
@@ -265,7 +233,7 @@ class StageTimings:
         spans, ``transform_s`` its ``bank.insert``, ``clock.gate`` and
         ``rewrite.apply`` spans, and ``score_s`` is the rest of the
         root: the same decomposition the accumulating counters produce.
-        ``engine`` and ``workers`` come from the last root.
+        ``engine`` comes from the last root.
         """
         timings = cls()
         for root in obs.find_spans(spans, "optimize"):
@@ -281,7 +249,6 @@ class StageTimings:
             timings.score_s += max(0.0, root.duration_s - simulate_s - transform_s)
             timings.simulations += len(estimates)
             timings.engine = str(root.attrs.get("engine", timings.engine))
-            timings.workers = int(root.attrs.get("workers", timings.workers))
         return timings
 
 
@@ -357,7 +324,6 @@ class PassContext:
     config: IsolationConfig
     library: TechnologyLibrary
     period: float
-    pool: object
 
 
 @dataclass
@@ -626,23 +592,12 @@ class OptimizeResult:
             f"  stages : simulate {self.timings.simulate_s:.3f}s, "
             f"score {self.timings.score_s:.3f}s, "
             f"transform {self.timings.transform_s:.3f}s "
-            f"({self.timings.simulations} runs, engine {self.timings.engine!r}, "
-            f"workers {self.timings.workers})",
+            f"({self.timings.simulations} runs, engine {self.timings.engine!r})",
         ]
-        if self.timings.workers > 1 and self.timings.parallel_tasks:
-            lines.append(
-                f"  pool   : {self.timings.parallel_tasks} tasks, "
-                f"{self.timings.worker_utilization:.0%} utilization"
-            )
         if self.timings.fallback_reason:
             lines.append(
                 f"  note   : engine degraded to 'python' "
                 f"({self.timings.fallback_reason})"
-            )
-        if self.timings.pool_fallback_reason:
-            lines.append(
-                f"  note   : scoring pool degraded to serial "
-                f"({self.timings.pool_fallback_reason})"
             )
         return "\n".join(lines)
 
@@ -668,28 +623,25 @@ def optimize(
     ``passes`` lists registered pass names in
     application order (order is documented not to change the final
     design — see ``docs/passes.md``). ``run=RunConfig(...)`` overrides
-    the config's cycles/warmup/engine/workers. The working copy is named
-    ``<design>_opt``; ``design`` itself is left untouched.
+    the config's cycles/warmup/engine/workers. The call runs in-process:
+    every candidate is scored serially, whatever ``workers`` says. The
+    working copy is named ``<design>_opt``; ``design`` itself is left
+    untouched.
     """
     config = config or IsolationConfig()
     if run is not None:
         config = config.with_run(run)
     library = library or default_library()
     pass_objects = resolve_passes(passes)
-
-    from repro.parallel.pool import WorkerPool
-
-    pool = WorkerPool(config.workers)
     with obs.span(
         "optimize",
         "stage",
         design=design.name,
         style=config.style,
         engine=config.engine,
-        workers=pool.workers,
         passes=",".join(p.name for p in pass_objects),
     ):
-        return _run_optimize(design, stimulus, pass_objects, config, library, pool)
+        return _run_optimize(design, stimulus, pass_objects, config, library)
 
 
 def isolate_design(
@@ -717,12 +669,11 @@ def _run_optimize(
     passes: List[TransformPass],
     config: IsolationConfig,
     library: TechnologyLibrary,
-    pool,
 ) -> OptimizeResult:
     """The traced body of the generic loop (see :func:`optimize`)."""
     working = design.copy(f"{design.name}_opt")
 
-    timings = StageTimings(engine=config.engine, workers=pool.workers)
+    timings = StageTimings(engine=config.engine)
 
     def timed_measure(*args, **kwargs):
         start = time.perf_counter()
@@ -766,9 +717,7 @@ def _run_optimize(
         _pass_objects={p.name: p for p in passes},
     )
 
-    ctx = PassContext(
-        working=working, config=config, library=library, period=period, pool=pool
-    )
+    ctx = PassContext(working=working, config=config, library=library, period=period)
     for p in passes:
         p.begin(ctx)
 
@@ -851,14 +800,4 @@ def _run_optimize(
         worst_slack=final_timing.worst_slack,
         clock_period=period,
     )
-
-    # Fold the pool's utilization accounting into the stage timings.
-    # Close *before* reporting so a failing shutdown (recorded into
-    # fallback_reason by WorkerPool.close) is visible in the timings.
-    pool.close()
-    pool_report = pool.report()
-    timings.parallel_tasks = pool_report.tasks
-    timings.parallel_busy_s = pool_report.busy_seconds
-    timings.parallel_wall_s = pool_report.wall_seconds
-    timings.pool_fallback_reason = pool_report.fallback_reason
     return result

@@ -123,8 +123,6 @@ class IsolationPass(TransformPass):
         return [self._savings_model.probes]
 
     def score(self, total_power_mw: float, monitor) -> List[List[CandidateCost]]:
-        from repro.parallel.scoring import score_candidates
-
         ctx = self.ctx
         self._savings_model.calibrate(monitor)
         cost_model = CostModel(
@@ -135,38 +133,37 @@ class IsolationPass(TransformPass):
             weights=ctx.config.weights,
         )
 
-        # Score every surviving (candidate, style) pair — serially or on
-        # the worker pool; both paths are bit-identical (repro.parallel).
-        evaluated = score_candidates(
-            cost_model,
-            [
-                (c.name, style)
-                for c in self._slack_ok
-                for style in self._allowed_styles[c.name]
-            ],
-            refined=ctx.config.refined_savings,
-            pool=ctx.pool,
-        )
+        # Score every surviving (candidate, style) pair with Eqs. 1-6 (a
+        # few microseconds of arithmetic each) and keep each candidate's
+        # best style; the first style wins a tie.
+        best: Dict[str, CandidateCost] = {}
+        tasks = sum(len(self._allowed_styles[c.name]) for c in self._slack_ok)
+        with obs.span("score.batch", "score", tasks=tasks):
+            for c in self._slack_ok:
+                for style in self._allowed_styles[c.name]:
+                    with obs.span(
+                        "score.candidate", "score", candidate=c.name, style=style
+                    ) as span:
+                        cost = cost_model.evaluate(
+                            c, style, refined=ctx.config.refined_savings
+                        )
+                        span.set(accepted=cost.accepted, h=cost.h)
+                        obs.counter(
+                            "score.evaluations", accepted=str(cost.accepted).lower()
+                        ).inc()
+                    if c.name not in best or cost.h > best[c.name].h:
+                        best[c.name] = cost
 
         # One selection group per combinational block, each holding the
         # best-style score of every surviving candidate in that block
         # (Algorithm 1 lines 17–29: isolate at most one per block).
         groups: List[List[CandidateCost]] = []
         for block in self._blocks:
-            block_candidates = [
-                c for c in self._slack_ok if c.block.index == block.index
+            scores = [
+                best[c.name] for c in self._slack_ok if c.block.index == block.index
             ]
-            if not block_candidates:
-                continue
-            scores = []
-            for c in block_candidates:
-                best_for_candidate = None
-                for style in self._allowed_styles[c.name]:
-                    score = evaluated[(c.name, style)]
-                    if best_for_candidate is None or score.h > best_for_candidate.h:
-                        best_for_candidate = score
-                scores.append(best_for_candidate)
-            groups.append(scores)
+            if scores:
+                groups.append(scores)
         return groups
 
     def apply(self, best: CandidateCost) -> AppliedTransform:

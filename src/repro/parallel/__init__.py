@@ -1,18 +1,19 @@
-"""Multi-worker execution layer: sharded simulation + pooled scoring.
+"""Multi-worker execution layer: sharded simulation and per-style runs.
 
-Two independent axes of parallelism, both deterministic by construction:
+Two coarse axes of parallelism, both deterministic by construction:
 
 * **Data parallelism** (:mod:`repro.parallel.shard`) — the Monte-Carlo
   batch engine's replications are split into shards with
   deterministically derived seeds, simulated across a process pool and
   merged by concatenating integer counters in shard-index order. The
   merged statistics are bit-exact regardless of worker count.
-* **Task parallelism** (:mod:`repro.parallel.scoring`) — the
-  per-candidate cost evaluations of Algorithm 1 (and the what-if
-  explorer, and ``compare_styles``'s per-style optimizer runs) are dispatched to
-  the pool; workers return identity-free numeric records that the
-  parent re-binds to its live candidate objects, so greedy selection
-  order is identical to serial.
+* **Style parallelism** — :func:`~repro.core.report.compare_styles`
+  runs one whole :func:`~repro.opt.optimize` call per isolation style,
+  one pool task each.
+
+Everything finer stays in-process: one ``optimize`` or
+``rank_candidates`` call scores its candidates serially, because each
+score is microseconds of arithmetic that a pool would only delay.
 
 The shared pool (:mod:`repro.parallel.pool`) degrades gracefully: any
 infrastructure failure drops to inline execution with a recorded
@@ -32,12 +33,6 @@ from repro.parallel.pool import (
     available_cpus,
     default_workers,
     resolve_workers,
-)
-from repro.parallel.scoring import (
-    ScoreRecord,
-    chunk_tasks,
-    optimize_styles,
-    score_candidates,
 )
 from repro.parallel.shard import (
     DEFAULT_MAX_LANES_PER_SHARD,
@@ -59,10 +54,6 @@ __all__ = [
     "available_cpus",
     "default_workers",
     "resolve_workers",
-    "ScoreRecord",
-    "chunk_tasks",
-    "optimize_styles",
-    "score_candidates",
     "DEFAULT_MAX_LANES_PER_SHARD",
     "MergedBatchStats",
     "ShardSpec",

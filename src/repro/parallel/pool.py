@@ -9,13 +9,13 @@ with the three behaviours the rest of :mod:`repro.parallel` relies on:
 * **Graceful degradation** — any pool-infrastructure failure (a worker
   crash, a pickling problem, fork being unavailable) permanently drops
   the pool to inline execution; the reason is recorded and surfaced as
-  ``fallback_reason`` in reports/stage timings, mirroring the
+  ``fallback_reason`` in the caller's result, mirroring the
   compiled-engine degradation of :func:`repro.sim.engine.make_simulator`.
   Task-level :class:`~repro.errors.ReproError`\\ s are *not* pool
   failures: they propagate unchanged, as they would on any backend.
 * **Accounting** — per-task busy seconds and per-map wall seconds feed
-  the :class:`ParallelReport` worker-utilization numbers shown by the
-  CLI's ``--json`` reports.
+  the :class:`ParallelReport` worker-utilization numbers (a sharded
+  run's ``report``) and the ``pool.*`` metrics.
 
 ``workers`` semantics everywhere in the library: ``1`` means serial
 (no pool), ``0`` means *auto* (one worker per available CPU), ``n > 1``
@@ -132,8 +132,7 @@ class WorkerPool:
     """A lazily created, degradation-aware process pool.
 
     The executor is created on first :meth:`map` call and reused until
-    :meth:`close` (cheap to keep across the iterations of
-    :func:`~repro.opt.optimize`). After any
+    :meth:`close`. After any
     infrastructure failure the pool is permanently degraded: every
     subsequent map runs inline, and :attr:`fallback_reason` records why.
     """
@@ -164,9 +163,10 @@ class WorkerPool:
 
         A teardown error (e.g. a poisoned worker wedging the executor)
         lands in :attr:`fallback_reason` — and from there in
-        ``StageTimings.pool_fallback_reason`` / report payloads — and
-        bumps the ``pool.teardown_errors`` counter, instead of being
-        silently swallowed.
+        ``PowerInterval.fallback_reason`` or
+        ``StyleComparison.fallback_reason`` — and bumps the
+        ``pool.teardown_errors`` counter, instead of being silently
+        swallowed.
         """
         executor, self._executor = self._executor, None
         if executor is None:
@@ -186,34 +186,6 @@ class WorkerPool:
             self.close()
         except Exception:  # pragma: no cover - interpreter teardown
             pass
-
-    # ------------------------------------------------------------------
-    def restart(self) -> None:
-        """Heal a degraded pool: clear the fallback and start fresh.
-
-        Degradation is deliberately permanent *within* a pool lifetime
-        (one crashed fork should not flap between pool and inline on
-        every map); a supervisor that has reason to believe the fault
-        has passed calls this to tear the old executor down, clear
-        :attr:`fallback_reason`, and let the next :meth:`map` lazily
-        create a new executor. Utilization accounting carries over.
-        """
-        self.close()
-        if self.fallback_reason is not None:
-            self.fallback_reason = None
-            obs.counter("pool.restarts").inc()
-
-    def pids(self) -> List[int]:
-        """PIDs of the live worker processes (empty when inline/lazy).
-
-        The chaos harness uses this to pick kill targets; operators can
-        correlate them with OS-level accounting.
-        """
-        executor = self._executor
-        if executor is None:
-            return []
-        processes = getattr(executor, "_processes", None) or {}
-        return sorted(processes.keys())
 
     # ------------------------------------------------------------------
     def _pool_map(self, fn: Callable, payloads: Sequence) -> List:

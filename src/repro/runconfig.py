@@ -15,10 +15,11 @@ and ``compare_styles``:
   ``"checked"`` (compiled and reference engines in lockstep with
   periodic cross-comparison; see :mod:`repro.sim.checked`);
 * ``workers`` — process-pool width for the parallel execution layer
-  (:mod:`repro.parallel`): ``1`` = serial, ``0`` = one worker per CPU,
-  ``n > 1`` = a pool of ``n`` processes. Defaults to the
-  ``REPRO_WORKERS`` environment variable (else 1). Serial and parallel
-  runs are bit-exact (see ``docs/parallelism.md``).
+  (:mod:`repro.parallel`: ``compare_styles``' per-style runs and sharded
+  batch runs): ``1`` = serial, ``0`` = one worker per CPU, ``n > 1`` = a
+  pool of ``n`` processes. Defaults to the ``REPRO_WORKERS`` environment
+  variable (else 1). Serial and parallel runs are bit-exact (see
+  ``docs/parallelism.md``).
 
 Every entry point accepts ``run=RunConfig(...)`` as its one per-call
 override.
@@ -72,11 +73,12 @@ class RunConfig:
         they ever disagree (differential self-checking at roughly the
         combined cost of the two engines).
     workers:
-        Process-pool width for candidate scoring / style comparison /
-        sharded batch runs: ``1`` = serial, ``0`` = auto (one worker per
-        CPU), ``n > 1`` = a pool of ``n`` workers. Results are bit-exact
-        across worker counts; pool failures degrade to serial with a
-        recorded ``fallback_reason``.
+        Process-pool width for style comparison and sharded batch runs:
+        ``1`` = serial, ``0`` = auto (one worker per CPU), ``n > 1`` = a
+        pool of ``n`` workers. One ``optimize`` or ``rank_candidates``
+        call always runs in-process. Results are bit-exact across worker
+        counts; pool failures degrade to serial with a recorded
+        ``fallback_reason``.
     trace:
         Enable the observability layer (:mod:`repro.obs`) for runs made
         through the :class:`repro.api.Session` facade: every pipeline

@@ -23,7 +23,7 @@ job attempt into its own **forked worker process**:
   ``circuit_threshold`` the circuit opens and jobs degrade to inline
   execution (the service stays available, deadlines become advisory)
   for ``circuit_cooldown_s``, after which one probe attempt half-opens
-  it — the same honesty contract as ``pool_fallback_reason`` in
+  it — the same honesty contract as ``fallback_reason`` in
   :mod:`repro.parallel.pool`: degraded, but recorded and visible in
   ``/healthz``.
 

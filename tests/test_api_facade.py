@@ -134,7 +134,7 @@ class TestImportPathStability:
             "repro.core",
             "repro.core.report",
             "repro.baselines.clock_gating",
-            "repro.parallel.scoring",
+            "repro.parallel",
             "repro.api",
             "repro.cli",
             "repro.serve.jobs",

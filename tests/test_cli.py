@@ -313,26 +313,31 @@ class TestObservabilityFlags:
         rtl = os.path.join(
             os.path.dirname(__file__), "..", "examples", "design1.rtl"
         )
-        trace = tmp_path / "profile.json"
-        code = main(
-            [
-                "profile", rtl, "--cycles", "150", "--workers", "2",
-                "--trace", str(trace),
-            ]
-        )
-        assert code == 0
-        document = json.loads(trace.read_text())
-        events = document["traceEvents"]
-        names = {e["name"] for e in events if e["ph"] == "X"}
-        assert {
-            "netlist.parse", "activation", "score.candidate",
-            "bank.insert", "pool.task",
-        } <= names
-        tracks = {
-            e["args"]["name"]
-            for e in events
-            if e["ph"] == "M" and e["name"] == "thread_name"
-        }
+        pipeline = {"netlist.parse", "activation", "score.candidate", "bank.insert"}
+
+        def traced(command):
+            trace = tmp_path / f"{command}.json"
+            code = main(
+                [command, rtl, "--cycles", "150", "--trace", str(trace)]
+                + (["--workers", "2"] if command == "compare" else [])
+            )
+            assert code == 0
+            document = json.loads(trace.read_text())
+            assert "repro_metrics" in document["otherData"]
+            events = document["traceEvents"]
+            names = {e["name"] for e in events if e["ph"] == "X"}
+            tracks = {
+                e["args"]["name"]
+                for e in events
+                if e["ph"] == "M" and e["name"] == "thread_name"
+            }
+            return names, tracks
+
+        names, tracks = traced("profile")
+        assert pipeline <= names
+        assert tracks == {"main"}
+        # The per-style pool of `compare --workers 2` carries worker spans.
+        names, tracks = traced("compare")
+        assert pipeline | {"pool.task"} <= names
         assert "main" in tracks
         assert any(track.startswith("task-") for track in tracks)
-        assert "repro_metrics" in document["otherData"]

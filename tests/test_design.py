@@ -2,11 +2,69 @@
 
 import pytest
 
+import repro.designs as designs
 from repro.errors import NetlistError
+from repro.netlist import textio
 from repro.netlist.arith import Adder
 from repro.netlist.builder import DesignBuilder
 from repro.netlist.design import Design
 from repro.netlist.logic import AndGate
+from repro.opt import IsolationConfig, optimize
+from repro.sim.compile import design_structure_hash
+from repro.sim.stimulus import random_stimulus
+
+#: Every shipped design generator.
+SHIPPED = [
+    "paper_example",
+    "design1",
+    "design2",
+    "fir_datapath",
+    "alu_control_dominated",
+    "shared_bus_datapath",
+    "lookahead_pipeline",
+    "correlated_chain",
+    "cordic_pipeline",
+    "soc_datapath",
+    "random_datapath",
+]
+
+
+def _optimized(maker, passes):
+    design = getattr(designs, maker)()
+    return optimize(
+        design,
+        lambda: random_stimulus(design, seed=1),
+        passes,
+        IsolationConfig(cycles=300, engine="compiled", workers=1),
+    ).design
+
+
+def _without(obj, *keys):
+    return {k: v for k, v in vars(obj).items() if k not in keys}
+
+
+def assert_faithful_copy(original, dup):
+    """``dup`` is ``original`` rebuilt from fresh nets and cells."""
+    assert textio.dumps(dup) == textio.dumps(original)
+    assert design_structure_hash(dup) == design_structure_hash(original)
+    assert _without(dup, "_nets", "_cells") == _without(original, "_nets", "_cells")
+    for net in original.nets:
+        twin = dup.net(net.name)
+        assert twin is not net and twin.width == net.width
+        assert [(p.cell.name, p.port) for p in twin.readers] == [
+            (p.cell.name, p.port) for p in net.readers
+        ]
+        pins = twin.readers + ([twin.driver] if twin.driver else [])
+        assert all(p.net is twin and p.cell is dup.cell(p.cell.name) for p in pins)
+    for cell in original.cells:
+        twin = dup.cell(cell.name)
+        assert twin is not cell and type(twin) is type(cell)
+        assert _without(twin, "_conn") == _without(cell, "_conn")
+        assert all(net is dup.net(net.name) for _, net in twin.connections())
+    # The copy hands out the same fresh names next (checked last: this
+    # advances both counters).
+    assert dup.fresh_net_name() == original.fresh_net_name()
+    assert dup.fresh_cell_name("iso") == original.fresh_cell_name("iso")
 
 
 class TestRegistration:
@@ -115,3 +173,43 @@ class TestCopy:
         dup = tiny_design.copy()
         dup.add_net("extra", 1)
         assert not tiny_design.has_net("extra")
+
+    @pytest.mark.parametrize("maker", SHIPPED)
+    def test_copy_is_faithful_on_shipped_designs(self, maker):
+        design = getattr(designs, maker)()
+        assert_faithful_copy(design, design.copy())
+
+    @pytest.mark.parametrize(
+        "maker, passes, tag",
+        [
+            ("design1", ["isolation"], "isolation_role"),
+            ("design1", ["clock_gating"], "clock_gated"),
+            ("fir_datapath", ["rewrite"], None),
+        ],
+    )
+    def test_copy_is_faithful_on_transformed_designs(self, maker, passes, tag):
+        result = _optimized(maker, passes)
+        dup = result.copy()
+        if tag is None:  # rewrites add fresh-named cells, not tags
+            assert any(c.name.startswith("rw_") for c in result.cells)
+        else:
+            tagged = [c.name for c in result.cells if hasattr(c, tag)]
+            assert tagged
+            assert [c.name for c in dup.cells if hasattr(c, tag)] == tagged
+        assert_faithful_copy(result, dup)
+
+    def test_optimize_runs_past_500_cells(self):
+        # A copy that recurses along net -> cell chains exceeds the
+        # default recursion limit from about 170 cells on.
+        design = designs.random_datapath(
+            seed=3, layers=10, modules_per_layer=16, width=12, n_controls=8
+        )
+        assert len(design.cells) >= 500
+        result = optimize(
+            design,
+            lambda: random_stimulus(design, seed=1),
+            ["isolation"],
+            IsolationConfig(cycles=300, engine="compiled", workers=1),
+        )
+        assert result.isolated_names
+        assert_faithful_copy(design, design.copy())

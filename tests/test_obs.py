@@ -3,9 +3,9 @@
 The load-bearing guarantees pinned here:
 
 * an exported Chrome trace reloads to the *identical* span forest;
-* a ``workers=2`` run produces the same candidate-scoring span sequence
-  as the serial run, and repeated pooled runs the same structural shape
-  (merge in task order, not completion order);
+* a ``workers=2`` style comparison produces the same candidate-scoring
+  span sequence as the serial one, and repeated pooled runs the same
+  structural shape (merge in task order, not completion order);
 * the disabled facade allocates nothing and stays cheap enough for
   always-on call sites (the full <2% budget lives in
   ``benchmarks/test_perf_obs.py``);
@@ -20,24 +20,35 @@ import time
 import pytest
 
 from repro import api, obs
+from repro.core.report import compare_styles
 from repro.designs import design1
 from repro.opt import IsolationConfig, StageTimings, isolate_design
 from repro.runconfig import RunConfig
 from repro.sim.stimulus import random_stimulus
 
 
-def _isolate_traced(workers=1, cycles=150):
+def _isolate_traced():
     design = design1()
     recorder = obs.Recorder()
     with obs.use(recorder):
         result = isolate_design(
             design,
             lambda: random_stimulus(design, seed=4),
-            IsolationConfig(
-                style="and", cycles=cycles, warmup=8, workers=workers
-            ),
+            IsolationConfig(style="and", cycles=150, warmup=8),
         )
     return result, recorder
+
+
+def _compare_traced(workers):
+    design = design1()
+    recorder = obs.Recorder()
+    with obs.use(recorder):
+        comparison = compare_styles(
+            design,
+            lambda: random_stimulus(design, seed=4),
+            IsolationConfig(cycles=150, warmup=8, workers=workers),
+        )
+    return comparison, recorder
 
 
 class TestSpans:
@@ -397,16 +408,17 @@ class TestPipelineTrace:
         derived = StageTimings.from_spans(recorder.tracer.roots)
         assert derived.simulations == result.timings.simulations
         assert derived.engine == result.timings.engine
-        assert derived.workers == result.timings.workers
         assert derived.simulate_s == pytest.approx(
             result.timings.simulate_s, rel=0.25
         )
         assert derived.transform_s >= 0 and derived.score_s >= 0
 
     def test_pooled_trace_matches_serial_candidate_sequence(self):
-        serial_result, serial = _isolate_traced(workers=1)
-        pooled_result, pooled = _isolate_traced(workers=2)
-        assert pooled_result.isolated_names == serial_result.isolated_names
+        serial_table, serial = _compare_traced(workers=1)
+        pooled_table, pooled = _compare_traced(workers=2)
+        assert [r.power_mw for r in pooled_table.rows] == [
+            r.power_mw for r in serial_table.rows
+        ]
 
         def scored(recorder):
             return [
@@ -414,22 +426,25 @@ class TestPipelineTrace:
                 for s in obs.find_spans(recorder.tracer.roots, "score.candidate")
             ]
 
+        assert scored(serial)
         assert scored(pooled) == scored(serial)
 
     def test_pooled_merge_is_deterministic(self):
-        _, first = _isolate_traced(workers=2)
-        _, second = _isolate_traced(workers=2)
+        _, first = _compare_traced(workers=2)
+        _, second = _compare_traced(workers=2)
+        assert obs.find_spans(first.tracer.roots, "score.candidate")
         assert obs.span_shape(first.tracer.roots) == obs.span_shape(
             second.tracer.roots
         )
 
     def test_pool_task_spans_ride_back_from_workers(self):
-        _, recorder = _isolate_traced(workers=2)
+        _, recorder = _compare_traced(workers=2)
         tasks = obs.find_spans(recorder.tracer.roots, "pool.task")
-        assert tasks, "pooled run recorded no worker-side spans"
+        assert len(tasks) == 3, "pooled run recorded no worker-side spans"
         assert all(t.track.startswith("task-") for t in tasks)
+        assert all(obs.find_spans([t], "optimize") for t in tasks)
         maps = obs.find_spans(recorder.tracer.roots, "pool.map")
-        assert {m.attrs["mode"] for m in maps} <= {"pool", "inline"}
+        assert [m.attrs["mode"] for m in maps] == ["pool"]
 
 
 class TestSessionSurface:

@@ -330,15 +330,6 @@ class TestSessionOptimize:
             payloads.append(canon(payload))
         assert payloads[0] == payloads[1] == payloads[2]
 
-    def test_summary_reports_pool_utilization(self, d1):
-        result = optimize(
-            d1, lambda: d1_stim(d1), ["isolation"],
-            config=IsolationConfig(cycles=200, engine="compiled", workers=2),
-        )
-        tasks = result.timings.parallel_tasks
-        assert tasks > 0
-        assert f"pool   : {tasks} tasks, " in result.summary()
-
     def test_traced_session_records_optimize_spans(self, d1):
         session = api.Session(
             d1,

@@ -42,7 +42,8 @@ MAKERS = [
     "random_datapath",
 ]
 
-#: Denser designs get the pooled-scoring path exercised too.
+#: Denser designs were also recorded under a 2-worker scoring pool, since
+#: removed; at workers=2 they pin that the worker count changes nothing.
 POOLED_MAKERS = ["design1", "fir_datapath", "soc_datapath"]
 
 

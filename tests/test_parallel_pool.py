@@ -2,23 +2,29 @@
 
 The acceptance-critical behaviour: a pool crash mid-run degrades to
 serial execution, the run still completes with correct results, and the
-reason is recorded (``ParallelReport.fallback_reason`` /
-``StageTimings.pool_fallback_reason``) — mirroring the compiled-engine
-degradation story of PR 2.
+reason is recorded (``ParallelReport.fallback_reason``, and from there
+``PowerInterval.fallback_reason`` / ``StyleComparison.fallback_reason``)
+— mirroring the compiled-engine degradation of ``make_simulator``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import multiprocessing
 import os
 
 import pytest
 
+from repro import obs
+from repro.core.explore import rank_candidates
+from repro.core.report import compare_styles, format_comparison_table
 from repro.designs import design1
 from repro.errors import ReproError
-from repro.opt import IsolationConfig, isolate_design
+from repro.opt import IsolationConfig, optimize
 from repro.parallel import WorkerPool, available_cpus, default_workers, resolve_workers
+from repro.power.estimator import estimate_power_ci
+from repro.runconfig import RunConfig
 from repro.sim.stimulus import random_stimulus
 
 
@@ -115,46 +121,100 @@ class TestPoolExecution:
         assert payload["tasks"] == 4 and "fallback_reason" not in payload
 
 
-class TestIsolateDesignDegradation:
-    def test_pool_failure_recorded_in_stage_timings(self, monkeypatch):
-        """isolate_design under a broken pool == serial run + a recorded reason."""
-        design = design1()
-        stim = lambda: random_stimulus(design, seed=4)
-        config = IsolationConfig(style="and", cycles=120, warmup=8)
+def _rows(comparison):
+    return [
+        (r.label, r.power_mw, r.area, r.slack, r.power_reduction)
+        for r in comparison.rows
+    ]
 
-        serial = isolate_design(design, stim, config)
+
+class TestIsolateDesignDegradation:
+    """The pools that remain (sharded batch, per-style compare) degrade
+    to serial with identical results and a recorded reason."""
+
+    CONFIG = IsolationConfig(style="and", cycles=120, warmup=8, workers=1)
+    RUN = RunConfig(cycles=120, warmup=8, seed=4, engine="compiled", workers=1)
+
+    def _compare(self, workers):
+        design = design1()
+        return compare_styles(
+            design,
+            lambda: random_stimulus(design, seed=4),
+            dataclasses.replace(self.CONFIG, workers=workers),
+        )
+
+    def _interval(self, workers):
+        return estimate_power_ci(
+            design1(), batch_size=8, n_shards=2,
+            run=dataclasses.replace(self.RUN, workers=workers),
+        )
+
+    def test_pool_failure_recorded_in_stage_timings(self, monkeypatch):
+        serial_table, serial_ci = self._compare(1), self._interval(1)
 
         def broken_pool_map(self, fn, payloads):
             raise RuntimeError("injected pool fault")
 
         monkeypatch.setattr(WorkerPool, "_pool_map", broken_pool_map)
-        import dataclasses
+        table, interval = self._compare(2), self._interval(2)
 
-        degraded = isolate_design(
-            design, stim, dataclasses.replace(config, workers=2)
+        assert _rows(table) == _rows(serial_table)
+        assert "injected pool fault" in table.fallback_reason
+        assert format_comparison_table(table).splitlines()[-1] == (
+            f"note: style runs degraded to serial ({table.fallback_reason})"
         )
-
-        assert degraded.isolated_names == serial.isolated_names
-        assert degraded.power_reduction == serial.power_reduction
-        assert degraded.timings.pool_fallback_reason is not None
-        assert "injected pool fault" in degraded.timings.pool_fallback_reason
-        assert "pool_fallback_reason" in degraded.timings.to_dict()
-        assert "scoring pool degraded" in degraded.summary()
+        assert "injected pool fault" in interval.fallback_reason
+        assert interval.to_dict()["fallback_reason"] == interval.fallback_reason
+        assert (interval.mean_mw, interval.half_width_mw) == (
+            serial_ci.mean_mw, serial_ci.half_width_mw,
+        )
 
     def test_healthy_pool_reports_no_fallback(self):
+        recorder = obs.Recorder()
+        with obs.use(recorder):
+            table, interval = self._compare(2), self._interval(2)
+        maps = obs.find_spans(recorder.tracer.roots, "pool.map")
+        assert [m.attrs["mode"] for m in maps] == ["pool", "pool"]
+        assert len(obs.find_spans(maps, "pool.task")) == 3 + 2
+        assert table.fallback_reason is None
+        assert interval.fallback_reason is None
+        assert interval.workers == 2
+        assert _rows(table) == _rows(self._compare(1))
+
+
+class TestInProcessScoring:
+    """One optimize or rank call scores its candidates in-process, at any
+    worker count: no pool is built and no pool span is recorded."""
+
+    @pytest.fixture
+    def spans(self, monkeypatch):
+        def refuse(self, workers):
+            raise AssertionError("WorkerPool constructed")
+
+        monkeypatch.setattr(WorkerPool, "__init__", refuse)
+        recorder = obs.Recorder()
+        with obs.use(recorder):
+            yield lambda name: obs.find_spans(recorder.tracer.roots, name)
+
+    def test_optimize_builds_no_pool(self, spans):
         design = design1()
-        result = isolate_design(
+        optimize(
             design,
             lambda: random_stimulus(design, seed=4),
-            IsolationConfig(style="and", cycles=120, warmup=8, workers=2),
+            ["isolation", "clock_gating"],
+            IsolationConfig(style="auto", cycles=120, warmup=8, workers=2),
         )
-        assert result.timings.pool_fallback_reason is None
-        assert result.timings.workers == 2
-        assert result.timings.parallel_tasks > 0
-        payload = result.timings.to_dict()
-        assert payload["workers"] == 2
-        assert payload["parallel"]["tasks"] == result.timings.parallel_tasks
-        assert 0.0 <= payload["parallel"]["utilization"] <= 1.0
+        assert spans("score.candidate") and not spans("pool.map")
+
+    def test_rank_candidates_builds_no_pool(self, spans):
+        design = design1()
+        ranked = rank_candidates(
+            design,
+            random_stimulus(design, seed=4),
+            run=RunConfig(cycles=120, warmup=8, workers=2),
+        )
+        assert ranked
+        assert spans("sim.run") and not spans("pool.map")
 
 
 class TestCliWorkersFlag:
@@ -192,52 +252,6 @@ def test_invalid_workers_rejected_by_configs():
         RunConfig(workers=-1)
     with pytest.raises(IsolationError):
         IsolationConfig(workers=-2)
-
-class TestPoolRestartAndPids:
-    """Supervisor hooks: heal a degraded pool, enumerate live workers."""
-
-    def test_restart_clears_degradation_and_counts(self):
-        from repro import obs
-
-        recorder = obs.Recorder()
-        pool = WorkerPool(2)
-        pool.fallback_reason = "worker crashed earlier"
-        with obs.use(recorder):
-            pool.restart()
-        assert pool.fallback_reason is None
-        assert pool._executor is None
-        assert recorder.metrics.counter("pool.restarts").value == 1.0
-        # A healed pool goes back to real pool execution on the next map.
-        assert pool.map(_double, [1, 2, 3]) == [2, 4, 6]
-        assert pool.fallback_reason is None
-        pool.close()
-
-    def test_restart_on_healthy_pool_is_not_counted(self):
-        from repro import obs
-
-        recorder = obs.Recorder()
-        with WorkerPool(2) as pool:
-            pool.map(_double, [1, 2])
-            with obs.use(recorder):
-                pool.restart()
-        assert recorder.metrics.counter("pool.restarts").value == 0.0
-
-    def test_pids_empty_when_lazy_or_inline(self):
-        pool = WorkerPool(2)
-        assert pool.pids() == []  # no executor yet
-        pool.map(_double, [7])  # single payload stays inline
-        assert pool.pids() == []
-
-    def test_pids_reports_live_workers(self):
-        with WorkerPool(2) as pool:
-            pool.map(_double, [1, 2, 3, 4])
-            pids = pool.pids()
-            assert len(pids) >= 1
-            assert all(isinstance(p, int) and p > 0 for p in pids)
-            assert pids == sorted(pids)
-            assert os.getpid() not in pids
-        assert pool.pids() == []  # closed pool has no workers
-
 
 class TestPoolTeardown:
     """close() must surface shutdown failures, not swallow them."""
