@@ -720,13 +720,11 @@ def _sweep_spec_payload(args: argparse.Namespace) -> dict:
         values = getattr(args, axis)
         if values:
             payload[axis] = values
-    run: Dict[str, object] = {
+    payload["run"] = {
         "cycles": args.cycles,
         "seed": args.seed,
         "engine": args.engine,
     }
-    run.update(_workers_kwargs(args))
-    payload["run"] = run
     if args.name:
         payload["name"] = args.name
     return payload
@@ -1055,11 +1053,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--engine", choices=list(ENGINES), default="python",
         help="simulation backend for every point",
-    )
-    sweep.add_argument(
-        "--workers", type=_parse_workers, default=None, metavar="N|auto",
-        help="workers of every point's run config (points run optimize, "
-        "which is in-process, so results and speed do not depend on it)",
     )
     sweep.add_argument(
         "--store", default=None, metavar="DIR",

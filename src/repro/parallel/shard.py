@@ -263,8 +263,6 @@ def run_shards(
     probes: Optional[Mapping[str, object]] = None,
     stimulus_kwargs: Optional[Mapping[str, object]] = None,
     nets: Optional[Sequence[str]] = None,
-    checkpoint_every: Optional[int] = None,
-    lane_width: Optional[int] = None,
 ) -> List[ShardStats]:
     """Execute shards as one packed batch pass; one :class:`ShardStats` each.
 
@@ -296,11 +294,7 @@ def run_shards(
         # stacklevel=3: attribute a bitslice->compiled degradation warning
         # to whoever invoked run_shards, not to this wrapper.
         simulator = BatchSimulator(
-            design,
-            batch_size=lanes,
-            engine=engine,
-            lane_width=lane_width,
-            stacklevel=3,
+            design, batch_size=lanes, engine=engine, stacklevel=3
         )
         stimulus = _PackedStimulus([
             BatchRandomStimulus(
@@ -314,7 +308,6 @@ def run_shards(
             cycles,
             monitors=[monitor] + probe_monitors,
             warmup=warmup,
-            checkpoint_every=checkpoint_every,
         )
         results = []
         lane0 = 0
@@ -368,8 +361,6 @@ def _run_shards_payload(payload: dict) -> List[ShardStats]:
         probes=payload["probes"],
         stimulus_kwargs=payload["stimulus_kwargs"],
         nets=payload["nets"],
-        checkpoint_every=payload["checkpoint_every"],
-        lane_width=payload["lane_width"],
     )
 
 
@@ -426,9 +417,7 @@ def run_batch_sharded(
     probes: Optional[Mapping[str, object]] = None,
     stimulus_kwargs: Optional[Mapping[str, object]] = None,
     nets: Optional[Sequence[str]] = None,
-    checkpoint_every: Optional[int] = None,
     pool: Optional[WorkerPool] = None,
-    lane_width: Optional[int] = None,
 ) -> ShardedRun:
     """Shard a batch Monte-Carlo run over a process pool and merge it.
 
@@ -459,8 +448,6 @@ def run_batch_sharded(
             "probes": dict(probes or {}),
             "stimulus_kwargs": dict(stimulus_kwargs or {}),
             "nets": list(nets) if nets is not None else None,
-            "checkpoint_every": checkpoint_every,
-            "lane_width": lane_width,
         }
         for group in _group_plan(plan, min(pool.workers, len(plan)))
     ]

@@ -1,4 +1,4 @@
-"""Vectorized Monte-Carlo batch simulation (numpy backend).
+"""Vectorized Monte-Carlo batch simulation.
 
 The scalar engine (:mod:`repro.sim.engine`) simulates one stimulus
 stream; every measured statistic (toggle rate, activation probability)
@@ -11,7 +11,9 @@ intervals (mean ± t·s/√N), with no independence assumption inside a
 replication.
 
 Widths up to 32 bits are supported (values are held in ``uint64``
-lanes, products of 32-bit operands cannot overflow).
+lanes, products of 32-bit operands cannot overflow). One run loop,
+:meth:`BatchSimulator.run`, drives either kernel: the numpy closures
+here or the lane-packed :mod:`repro.sim.bitslice` kernel.
 
 Typical use::
 
@@ -406,16 +408,14 @@ class BatchSimulator:
     """N-replication vectorized counterpart of :class:`~repro.sim.engine.Simulator`.
 
     With ``engine="python"`` or ``engine="compiled"`` (one numpy
-    backend under two names) the settle phase runs through a list of
-    pre-bound per-cell closures: nets, masks and operand order are
-    resolved once at construction, and each closure is one numpy word
-    op across all replications. With ``engine="bitslice"`` the whole
-    batch runs through the lane-packed bigint kernel of
-    :mod:`repro.sim.bitslice`: replications map 1:1 onto bit lanes
-    (``lane_width`` per word, default 64), so a two-input gate costs a
-    couple of bigint ops for the entire batch. All engines are bit-exact
-    with the python reference :class:`~repro.sim.engine.Simulator`; if
-    the bitslice lowering rejects the design, construction degrades to
+    backend under two names) the settle phase runs through pre-bound
+    per-cell numpy closures, each one word op across all replications.
+    With ``engine="bitslice"`` the whole batch runs through the
+    lane-packed kernel of :mod:`repro.sim.bitslice`: replications map
+    1:1 onto bit lanes of 64-lane words, so a two-input gate costs a
+    couple of int ops per word. Both kernels are bit-exact with the
+    python reference :class:`~repro.sim.engine.Simulator`; if the
+    bitslice lowering rejects the design, construction degrades to
     ``"compiled"`` with a ``RuntimeWarning`` and a recorded
     :attr:`fallback_reason`.
     """
@@ -429,7 +429,6 @@ class BatchSimulator:
         design: Design,
         batch_size: int = 32,
         engine: str = "python",
-        lane_width: Optional[int] = None,
         stacklevel: int = 2,
     ) -> None:
         # ``stacklevel`` controls where the bitslice->compiled degradation
@@ -445,11 +444,8 @@ class BatchSimulator:
                 f"batch engine supports 'python', 'compiled' or 'bitslice', "
                 f"got {engine!r}"
             )
-        if lane_width is not None and engine != "bitslice":
-            raise SimulationError(
-                f"lane_width only applies to engine='bitslice', "
-                f"got lane_width={lane_width} with engine={engine!r}"
-            )
+        if batch_size < 1:
+            raise SimulationError(f"batch_size must be >= 1, got {batch_size}")
         for net in design.nets:
             if net.width > _MAX_WIDTH:
                 raise SimulationError(
@@ -458,15 +454,14 @@ class BatchSimulator:
                 )
         self.design = design
         self.batch_size = batch_size
-        self._bskernel = None
+        self._inputs = [pi.name for pi in design.primary_inputs]
+        self._kernel = None
         if engine == "bitslice":
             # Imported lazily: repro.sim.bitslice imports this module.
             from repro.sim.bitslice import BitsliceBatchKernel
 
             try:
-                self._bskernel = BitsliceBatchKernel(
-                    design, batch_size, lane_width if lane_width else 64
-                )
+                self._kernel = BitsliceBatchKernel(design, batch_size)
             except CompilationError as exc:
                 warnings.warn(
                     f"batch engine 'bitslice' unavailable for design "
@@ -477,88 +472,41 @@ class BatchSimulator:
                 )
                 self.fallback_reason = str(exc)
                 engine = "compiled"
+        if self._kernel is None:
+            self._kernel = _NumpyBatchKernel(design, batch_size)
         self.engine = engine
-        self.lane_width = (
-            self._bskernel.lane_width if self._bskernel is not None else None
-        )
-        self._order = combinational_order(design)
-        self._registers = design.registers
-        self._stateful_comb = [
-            c for c in self._order if getattr(c, "has_state", False)
-        ]
-        self._kernels = (
-            [k for k in map(self._bind_kernel, self._order) if k is not None]
-            if self._bskernel is None
-            else []
-        )
-        self.reset()
+        self.cycle = 0
+
+    @property
+    def values(self) -> Mapping[Net, np.ndarray]:
+        """The settled value of every net, one array of lanes each."""
+        return self._kernel.values_view
 
     def reset(self) -> None:
-        n = self.batch_size
+        self._kernel.reset()
         self.cycle = 0
-        if self._bskernel is not None:
-            self._bskernel.reset()
-            self.values = self._bskernel.values_view
-            self.state = {}
-            return
-        self.values: Dict[Net, np.ndarray] = {
-            net: np.zeros(n, dtype=np.uint64) for net in self.design.nets
-        }
-        self.state: Dict[Cell, np.ndarray] = {}
-        for reg in self._registers:
-            initial = np.full(n, reg.net("Q").clip(reg.reset_value), dtype=np.uint64)
-            self.state[reg] = initial
-            self.values[reg.net("Q")] = initial.copy()
-        for cell in self._stateful_comb:
-            out = cell.net(cell.output_ports[0])
-            self.state[cell] = np.full(
-                n, out.clip(getattr(cell, "reset_value", 0)), dtype=np.uint64
-            )
-        for const in self.design.constants:
-            net = const.net("Y")
-            self.values[net] = np.full(n, net.clip(const.value), dtype=np.uint64)
 
     # ------------------------------------------------------------------
     def step(self, pi_values: Mapping[str, np.ndarray]) -> Mapping[Net, np.ndarray]:
-        if self._bskernel is not None:
-            self._bskernel.step(pi_values)
-            return self.values
-        for pi in self.design.primary_inputs:
-            net = pi.net("Y")
+        lanes = (self.batch_size,)
+        for name in self._inputs:
             try:
-                self.values[net] = pi_values[pi.name].astype(np.uint64) & _mask(net)
+                column = pi_values[name]
             except KeyError:
                 raise SimulationError(
-                    f"batch stimulus provides no value for input {pi.name!r}"
+                    f"batch stimulus provides no value for input {name!r}"
                 ) from None
-        values, state = self.values, self.state
-        for kernel in self._kernels:
-            kernel(values, state)
+            if getattr(column, "shape", None) != lanes:
+                raise SimulationError(
+                    f"batch stimulus gives input {name!r} values of shape "
+                    f"{np.shape(column)}, not {lanes}: the simulator runs "
+                    f"{self.batch_size} lanes"
+                )
+        self._kernel.step(pi_values)
         return self.values
 
     def commit(self) -> None:
-        if self._bskernel is not None:
-            self._bskernel.commit()
-            self.cycle += 1
-            return
-        updates: Dict[Cell, np.ndarray] = {}
-        for reg in self._registers:
-            d = self.values[reg.net("D")]
-            next_state = d & _mask(reg.net("Q"))
-            if reg.has_enable:
-                enable = self.values[reg.net("EN")].astype(bool)
-                next_state = np.where(enable, next_state, self.state[reg])
-            updates[reg] = next_state.astype(np.uint64)
-        for cell in self._stateful_comb:
-            enable_port = "G" if isinstance(cell, TransparentLatch) else "EN"
-            enable = self.values[cell.net(enable_port)].astype(bool)
-            d = self.values[cell.net("D")] & _mask(
-                cell.net(cell.output_ports[0])
-            )
-            updates[cell] = np.where(enable, d, self.state[cell]).astype(np.uint64)
-        self.state.update(updates)
-        for reg in self._registers:
-            self.values[reg.net("Q")] = self.state[reg].copy()
+        self._kernel.commit()
         self.cycle += 1
 
     def run(
@@ -587,11 +535,7 @@ class BatchSimulator:
             raise SimulationError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
             )
-        if self._bskernel is not None:
-            return self._run_bitslice(
-                stimulus, cycles, monitors, warmup, checkpoint_every,
-                resume_from,
-            )
+        kernel = self._kernel
         with obs.span(
             "sim.batch",
             "sim",
@@ -600,6 +544,7 @@ class BatchSimulator:
             cycles=cycles,
             warmup=warmup,
             resumed=resume_from is not None,
+            engine=self.engine,
         ):
             if resume_from is not None:
                 self.restore(resume_from)
@@ -610,69 +555,13 @@ class BatchSimulator:
                 for monitor in monitors:
                     monitor.begin(self.design, self.batch_size)
                 start = 0
+            kernel.attach_monitors(monitors)
             for i in range(start, warmup + cycles):
-                settled = self.step(stimulus.values(self.cycle))
-                if i >= warmup:
-                    for monitor in monitors:
-                        monitor.observe(self.cycle, settled)
-                self.commit()
-                if checkpoint_every is not None and (i + 1) % checkpoint_every == 0:
-                    self.last_checkpoint = self.checkpoint(i + 1, monitors)
-            for monitor in monitors:
-                monitor.finish()
-            return monitors
-
-    def _run_bitslice(
-        self,
-        stimulus,
-        cycles: int,
-        monitors: Optional[Sequence[BatchMonitor]],
-        warmup: int,
-        checkpoint_every: Optional[int],
-        resume_from: Optional[BatchCheckpoint],
-    ) -> List[BatchMonitor]:
-        """The :meth:`run` loop for the lane-packed kernel.
-
-        Same loop structure and checkpoint semantics as the generic
-        path; the difference is that monitor accumulation happens inside
-        the kernel (lane-packed counters) and is published back into the
-        live monitor objects via ``sync_monitors`` at every checkpoint
-        and at the end of the run.
-        """
-        kernel = self._bskernel
-        with obs.span(
-            "sim.batch",
-            "sim",
-            design=self.design.name,
-            batch_size=self.batch_size,
-            cycles=cycles,
-            warmup=warmup,
-            resumed=resume_from is not None,
-            engine="bitslice",
-            lane_width=kernel.lane_width,
-        ):
-            obs.counter("lanes.packed").inc(self.batch_size)
-            if resume_from is not None:
-                self.restore(resume_from)
-                monitors = self._copy_monitors(resume_from.monitors)
-                start = resume_from.step_index
-                kernel.observed = max(0, start - warmup)
-                kernel.attach_monitors(monitors, resume=True)
-            else:
-                monitors = list(monitors or [])
-                for monitor in monitors:
-                    monitor.begin(self.design, self.batch_size)
-                start = 0
-                kernel.observed = 0
-                kernel.attach_monitors(monitors, resume=False)
-            for i in range(start, warmup + cycles):
-                kernel.step(stimulus.values(self.cycle))
+                self.step(stimulus.values(self.cycle))
                 if i >= warmup:
                     kernel.observe(self.cycle)
-                kernel.commit()
-                self.cycle += 1
+                self.commit()
                 if checkpoint_every is not None and (i + 1) % checkpoint_every == 0:
-                    kernel.sync_monitors()
                     self.last_checkpoint = self.checkpoint(i + 1, monitors)
             kernel.sync_monitors()
             for monitor in monitors:
@@ -689,25 +578,20 @@ class BatchSimulator:
     ) -> BatchCheckpoint:
         """Snapshot the current values/state and deep-copy the monitors.
 
+        The kernel first publishes its accumulators into the monitors.
         Nets and cells are shared (identity-preserved) between the
         snapshot and the live design, so restored monitors keep
         observing the same objects; only the numpy accumulators are
-        duplicated. Checkpoints are engine-portable: the bitslice kernel
-        materialises the same per-lane value/state arrays the generic
-        engines hold, so a checkpoint taken under one engine resumes
-        under any other.
+        duplicated. Checkpoints are engine-portable: both kernels
+        materialise the same per-lane value/state arrays, so a
+        checkpoint taken under one engine resumes under any other.
         """
-        if self._bskernel is not None:
-            values = self._bskernel.unpack_values()
-            state = self._bskernel.unpack_state()
-        else:
-            values = {net: arr.copy() for net, arr in self.values.items()}
-            state = {cell: arr.copy() for cell, arr in self.state.items()}
+        self._kernel.sync_monitors()
         return BatchCheckpoint(
             cycle=self.cycle,
             step_index=step_index,
-            values=values,
-            state=state,
+            values=self._kernel.unpack_values(),
+            state=self._kernel.unpack_state(),
             monitors=self._copy_monitors(monitors),
         )
 
@@ -724,18 +608,102 @@ class BatchSimulator:
     def restore(self, checkpoint: BatchCheckpoint) -> None:
         """Reset the simulator to a previously taken checkpoint."""
         self.cycle = checkpoint.cycle
-        if self._bskernel is not None:
-            self._bskernel.load_values(checkpoint.values)
-            self._bskernel.load_state(checkpoint.state)
-            self.values = self._bskernel.values_view
-            self.state = {}
-            return
-        self.values = {net: arr.copy() for net, arr in checkpoint.values.items()}
-        self.state = {cell: arr.copy() for cell, arr in checkpoint.state.items()}
+        self._kernel.load_values(checkpoint.values)
+        self._kernel.load_state(checkpoint.state)
 
-    # ------------------------------------------------------------------
+
+class _NumpyBatchKernel:
+    """Pre-bound numpy closures: the ``"python"``/``"compiled"`` batch engine.
+
+    Nets, masks and operand order are resolved once at construction, and
+    each closure is one numpy word op across all replications. Same
+    interface as :class:`~repro.sim.bitslice.BitsliceBatchKernel`;
+    monitors observe the live value arrays directly, so there is nothing
+    to publish in :meth:`sync_monitors`.
+    """
+
+    def __init__(self, design: Design, batch_size: int) -> None:
+        self.design = design
+        self.batch_size = batch_size
+        self._inputs = [
+            (pi.name, pi.net("Y"), _mask(pi.net("Y")))
+            for pi in design.primary_inputs
+        ]
+        order = combinational_order(design)
+        self._registers = design.registers
+        self._stateful_comb = [c for c in order if getattr(c, "has_state", False)]
+        self._kernels = [k for k in map(self._bind_kernel, order) if k is not None]
+        self.reset()
+
+    def reset(self) -> None:
+        n = self.batch_size
+        self.values_view: Dict[Net, np.ndarray] = {
+            net: np.zeros(n, dtype=np.uint64) for net in self.design.nets
+        }
+        self._state: Dict[Cell, np.ndarray] = {}
+        for reg in self._registers:
+            initial = np.full(n, reg.net("Q").clip(reg.reset_value), dtype=np.uint64)
+            self._state[reg] = initial
+            self.values_view[reg.net("Q")] = initial.copy()
+        for cell in self._stateful_comb:
+            out = cell.net(cell.output_ports[0])
+            self._state[cell] = np.full(
+                n, out.clip(getattr(cell, "reset_value", 0)), dtype=np.uint64
+            )
+        for const in self.design.constants:
+            net = const.net("Y")
+            self.values_view[net] = np.full(n, net.clip(const.value), dtype=np.uint64)
+        self._monitors: List[BatchMonitor] = []
+
+    def step(self, pi_values: Mapping[str, np.ndarray]) -> None:
+        values, state = self.values_view, self._state
+        for name, net, mask in self._inputs:
+            values[net] = pi_values[name].astype(np.uint64) & mask
+        for kernel in self._kernels:
+            kernel(values, state)
+
+    def commit(self) -> None:
+        values, state = self.values_view, self._state
+        updates: Dict[Cell, np.ndarray] = {}
+        for reg in self._registers:
+            next_state = values[reg.net("D")] & _mask(reg.net("Q"))
+            if reg.has_enable:
+                enable = values[reg.net("EN")].astype(bool)
+                next_state = np.where(enable, next_state, state[reg])
+            updates[reg] = next_state.astype(np.uint64)
+        for cell in self._stateful_comb:
+            enable_port = "G" if isinstance(cell, TransparentLatch) else "EN"
+            enable = values[cell.net(enable_port)].astype(bool)
+            d = values[cell.net("D")] & _mask(cell.net(cell.output_ports[0]))
+            updates[cell] = np.where(enable, d, state[cell]).astype(np.uint64)
+        state.update(updates)
+        for reg in self._registers:
+            values[reg.net("Q")] = state[reg].copy()
+
+    def attach_monitors(self, monitors: Sequence[BatchMonitor]) -> None:
+        self._monitors = list(monitors)
+
+    def observe(self, cycle: int) -> None:
+        for monitor in self._monitors:
+            monitor.observe(cycle, self.values_view)
+
+    def sync_monitors(self) -> None:
+        """Nothing to publish: monitors hold their own statistics."""
+
+    def unpack_values(self) -> Dict[Net, np.ndarray]:
+        return {net: arr.copy() for net, arr in self.values_view.items()}
+
+    def unpack_state(self) -> Dict[Cell, np.ndarray]:
+        return {cell: arr.copy() for cell, arr in self._state.items()}
+
+    def load_values(self, values: Mapping[Net, np.ndarray]) -> None:
+        self.values_view = {net: arr.copy() for net, arr in values.items()}
+
+    def load_state(self, state: Mapping[Cell, np.ndarray]) -> None:
+        self._state = {cell: arr.copy() for cell, arr in state.items()}
+
     def _bind_kernel(self, cell: Cell):
-        """Pre-bound settle closure for one cell (numpy engines).
+        """Pre-bound settle closure for one cell.
 
         Resolves nets, masks, operand order and the cell-kind dispatch
         once; the returned closure only indexes the live ``values`` /

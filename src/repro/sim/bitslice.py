@@ -4,13 +4,13 @@ The compiled backend (:mod:`repro.sim.compile`) still evaluates one
 stimulus vector per Python instruction, so a 64-replication
 :class:`~repro.sim.batch.BatchSimulator` run costs 64 scalar steps of
 interpreter overhead per cycle. This module transposes the data layout:
-every net of width W becomes W *bit-planes*, each plane a Python bigint
-holding one bit of the net for **every lane at once** (bit ``j`` of
-plane ``b`` is lane ``j``'s value of net bit ``b``). A two-input gate
-is then 1–3 bigint ops *total* across all lanes; adders lower to the
-classic bit-sliced ripple-carry recurrence (5 ops per output bit);
-toggle counting is XOR deltas accumulated into lane-packed ripple
-counters and read out with popcounts.
+every net of width W becomes W *bit-planes*, each plane a Python int
+holding one bit of the net for **every lane of a word at once** (bit
+``j`` of plane ``b`` is lane ``j``'s value of net bit ``b``). A
+two-input gate is then 1–3 int ops *total* across all lanes; adders
+lower to the classic bit-sliced ripple-carry recurrence (5 ops per
+output bit); toggle counting is XOR deltas between consecutive planes,
+counted per lane with numpy.
 
 Layout invariant: every plane is a subset of the lane mask ``LM``
 (``(1 << lanes) - 1`` for the word). NOT is emitted as ``LM ^ x`` —
@@ -27,7 +27,7 @@ batch engine with a recorded ``fallback_reason``.
 This is a batch engine only. Its one consumer is
 :class:`BitsliceBatchKernel`, the lane-packed engine behind
 ``BatchSimulator(engine="bitslice")``: ``batch_size`` lanes split into
-words of ``lane_width`` (default 64) lanes each, feeding the existing
+words of :data:`WORD_LANES` lanes each, feeding the existing
 :class:`~repro.sim.batch.BatchToggleMonitor` /
 :class:`~repro.sim.batch.BatchProbe` statistics unchanged. A scalar
 ``engine="bitslice"`` run uses the compiled kernel
@@ -79,6 +79,10 @@ from repro.sim.compile import design_structure_hash
 
 #: Widest net the bit-sliced lowering accepts (one plane per bit).
 MAX_SLICE_WIDTH = 64
+
+#: Lanes per word. One plane of a word fits one uint64, so input
+#: columns are transposed and toggles counted a word at a time in numpy.
+WORD_LANES = 64
 
 
 # ----------------------------------------------------------------------
@@ -577,7 +581,7 @@ class BitsliceProgram:
 
     design_hash: str
     plane_offset: Dict[str, int]
-    plane_width: Dict[str, int]
+    net_width: Dict[str, int]
     state_offset: Dict[str, Tuple[int, int]]
     n_planes: int
     n_state: int
@@ -645,11 +649,11 @@ def compile_bitslice(design: Design) -> BitsliceProgram:
                 f"supports widths <= {MAX_SLICE_WIDTH}"
             )
     plane_offset: Dict[str, int] = {}
-    plane_width: Dict[str, int] = {}
+    net_width: Dict[str, int] = {}
     off = 0
     for net in sorted(design.nets, key=lambda n: n.name):
         plane_offset[net.name] = off
-        plane_width[net.name] = net.width
+        net_width[net.name] = net.width
         off += net.width
     n_planes = off
 
@@ -730,7 +734,7 @@ def compile_bitslice(design: Design) -> BitsliceProgram:
     return BitsliceProgram(
         design_hash=design_structure_hash(design),
         plane_offset=plane_offset,
-        plane_width=plane_width,
+        net_width=net_width,
         state_offset=state_offset,
         n_planes=n_planes,
         n_state=n_state,
@@ -837,7 +841,7 @@ def _ripple_increment(counters: List[int], delta: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# The batch kernel (lane-packed words)
+# The batch kernel (lane-packed 64-lane words)
 # ----------------------------------------------------------------------
 class _LazyBatchValues(Mapping):
     """``Mapping[Net, ndarray]`` view that unpacks planes on access."""
@@ -858,7 +862,7 @@ class _LazyBatchValues(Mapping):
 
 
 class _Word:
-    """One lane-packed word: up to ``lane_width`` lanes of the batch."""
+    """One lane-packed word: up to :data:`WORD_LANES` lanes of the batch."""
 
     __slots__ = ("lane0", "lanes", "lm", "v", "s", "pi")
 
@@ -874,29 +878,25 @@ class _Word:
 class _FastMonitorState:
     """Per-word toggle accumulators of one attached BatchToggleMonitor.
 
-    Two layouts share this class. When every word fits a machine word
-    (``lanes <= 64``, the perf path) the accumulators are numpy arrays:
-    ``watch_idx`` selects the watched planes out of ``word.v``,
-    ``prev_arr``/``acc`` hold previous plane values and per-plane
-    per-lane toggle counts, and ``base`` carries counts restored from a
-    checkpoint. Otherwise (``vectorized`` False) the lane-packed bigint
-    counters in ``watch``/``prev`` are ripple-incremented per plane.
+    ``watch_idx`` selects the watched planes out of ``word.v``; per word,
+    ``prev`` holds the previous values of those planes, ``acc`` their
+    per-lane toggle counts since attachment and ``base`` the per-net
+    counts the monitor already held. ``cycles`` is the monitor's cycle
+    count at attachment.
     """
 
     __slots__ = (
-        "monitor", "watch", "prev", "seeded",
-        "vectorized", "watch_idx", "net_slices", "prev_arr", "acc", "base",
+        "monitor", "cycles", "seeded", "watch_idx", "net_slices", "prev",
+        "acc", "base",
     )
 
     def __init__(self, monitor) -> None:
         self.monitor = monitor
-        self.watch: List[List[Tuple[int, int, List[int]]]] = []
-        self.prev: List[List[int]] = []
-        self.seeded = False
-        self.vectorized = False
+        self.cycles = monitor.cycles
+        self.seeded = bool(monitor._previous)
         self.watch_idx: Optional[np.ndarray] = None
         self.net_slices: List[Tuple[int, int]] = []
-        self.prev_arr: List[np.ndarray] = []
+        self.prev: List[np.ndarray] = []
         self.acc: List[np.ndarray] = []
         self.base: List[np.ndarray] = []
 
@@ -904,71 +904,59 @@ class _FastMonitorState:
 class _ProbeState:
     """Per-word true-count accumulators of one attached BatchProbe."""
 
-    __slots__ = ("probe", "counters")
+    __slots__ = ("probe", "cycles", "counters")
 
     def __init__(self, probe) -> None:
         self.probe = probe
+        self.cycles = probe.cycles
         self.counters: List[List[int]] = []
 
 
 class BitsliceBatchKernel:
     """Lane-packed execution core of ``BatchSimulator(engine="bitslice")``.
 
-    ``batch_size`` replications are split into words of at most
-    ``lane_width`` lanes; each word owns its own plane arrays and lane
-    mask, so a ragged final word (``batch_size % lane_width != 0``)
+    ``batch_size`` replications are split into words of
+    :data:`WORD_LANES` lanes; each word owns its own plane arrays and
+    lane mask, so a ragged final word (``batch_size % WORD_LANES != 0``)
     masks its phantom lanes to zero everywhere — they can never toggle.
     The enclosing :class:`~repro.sim.batch.BatchSimulator` owns the
-    cycle counter, the run loop and checkpoint objects; this class owns
-    only packed state and monitor accumulators.
+    cycle counter, the run loop, input checks and checkpoint objects;
+    this class owns only packed state and monitor accumulators.
     """
 
     def __init__(
         self,
         design: Design,
         batch_size: int,
-        lane_width: int = 64,
         program: Optional[BitsliceProgram] = None,
     ) -> None:
-        if lane_width < 1:
-            raise SimulationError(
-                f"lane_width must be >= 1, got {lane_width}"
-            )
         self.design = design
         self.batch_size = batch_size
-        self.lane_width = lane_width
         if program is None:
             program = bitslice_cache().get(design)
         self.program = program
         self._net_span: Dict[Net, Tuple[int, int]] = {
-            design.net(name): (off, program.plane_width[name])
+            design.net(name): (off, program.net_width[name])
             for name, off in program.plane_offset.items()
         }
         self._state_cells: List[Tuple[Cell, int, int]] = [
             (design.cell(name), off, width)
             for name, (off, width) in program.state_offset.items()
         ]
-        self.words: List[_Word] = []
-        lane0 = 0
-        while lane0 < batch_size:
-            lanes = min(lane_width, batch_size - lane0)
-            self.words.append(_Word(lane0, lanes))
-            lane0 += lanes
+        self.words = [
+            _Word(lane0, min(WORD_LANES, batch_size - lane0))
+            for lane0 in range(0, batch_size, WORD_LANES)
+        ]
         self.values_view = _LazyBatchValues(self)
-        self._fast: List[_FastMonitorState] = []
-        self._probes: List[_ProbeState] = []
-        self._generic: List = []
-        self.observed = 0
-        # One-shot PI packing: when every word fits a machine word, the
-        # primary-input columns are transposed in a single numpy pass per
-        # cycle instead of one pack_lanes call per input per word.
+        # Primary-input columns are transposed in one numpy pass per
+        # cycle: one row per input, then per word 64 value-bit planes of
+        # WORD_LANES lanes, each one uint64.
         n_pis = len(program.pi_info)
-        self._pack_whole = n_pis > 0 and all(w.lanes <= 64 for w in self.words)
-        if self._pack_whole:
-            self._pi_matrix = np.zeros((n_pis, batch_size), dtype="<u8")
-            self._pi_word_bufs = [
-                np.zeros((n_pis, 64, 8), dtype=np.uint8) for _ in self.words
-            ]
+        self._pi_matrix = np.zeros((n_pis, batch_size), dtype="<u8")
+        self._pi_word_bufs = [
+            np.zeros((n_pis, 64, WORD_LANES // 8), dtype=np.uint8)
+            for _ in self.words
+        ]
         self.reset()
 
     # ------------------------------------------------------------------
@@ -976,32 +964,19 @@ class BitsliceBatchKernel:
         for word in self.words:
             word.v = self.program.reset_planes(word.lm)
             word.s = self.program.reset_state(word.lm)
-        self._fast = []
-        self._probes = []
-        self._generic = []
+        self._fast: List[_FastMonitorState] = []
+        self._probes: List[_ProbeState] = []
+        self._generic: List = []
         self.observed = 0
 
     # ------------------------------------------------------------------
     def step(self, pi_values: Mapping[str, np.ndarray]) -> None:
-        words = self.words
+        """Drive and settle one cycle; every input column has
+        ``batch_size`` lanes (the enclosing simulator checks)."""
+        self._pack_inputs(pi_values)
         program = self.program
-        if self._pack_whole:
-            self._pack_inputs(pi_values)
-        else:
-            for name, _base, width in program.pi_info:
-                try:
-                    column = pi_values[name]
-                except KeyError:
-                    raise SimulationError(
-                        f"batch stimulus provides no value for input {name!r}"
-                    ) from None
-                arr = np.asarray(column).astype(np.uint64)
-                for word in words:
-                    word.pi[name] = pack_lanes(
-                        arr[word.lane0 : word.lane0 + word.lanes], width
-                    )
         helpers = program.helpers
-        for word in words:
+        for word in self.words:
             program.step(word.v, word.s, word.pi, word.lm, helpers)
 
     def _pack_inputs(self, pi_values: Mapping[str, np.ndarray]) -> None:
@@ -1009,28 +984,23 @@ class BitsliceBatchKernel:
 
         The columns are stacked into one little-endian uint64 matrix,
         unpacked to bits once, and re-packed along the lane axis per
-        word; padding the result out to 8 bytes lets the plane bigints
-        come straight out of a uint64 view (``lanes <= 64`` here).
-        Semantically identical to per-input :func:`pack_lanes` —
-        value bits at or above each input's width are dropped and
-        phantom lanes of a ragged word stay zero.
+        word; padding the result out to 8 bytes lets the plane ints
+        come straight out of a uint64 view. Value bits at or above each
+        input's width are dropped and phantom lanes of a ragged word
+        stay zero, as with :func:`pack_lanes`.
         """
         pi_info = self.program.pi_info
-        n_pis = len(pi_info)
+        if not pi_info:
+            return
         matrix = self._pi_matrix
         for i, (name, _base, _width) in enumerate(pi_info):
-            try:
-                matrix[i] = pi_values[name]
-            except KeyError:
-                raise SimulationError(
-                    f"batch stimulus provides no value for input {name!r}"
-                ) from None
+            matrix[i] = pi_values[name]
         # Transpose bytes before unpacking (8x less data than the bit
         # matrix) and keep the lane axis last so packbits runs along
         # contiguous memory — packing a non-final axis is ~10x slower.
         byte_planes = np.ascontiguousarray(
             matrix.view(np.uint8)
-            .reshape(n_pis, self.batch_size, 8)
+            .reshape(len(pi_info), self.batch_size, 8)
             .transpose(0, 2, 1)
         )
         bits = np.unpackbits(byte_planes, axis=1, bitorder="little")
@@ -1054,153 +1024,84 @@ class BitsliceBatchKernel:
     # ------------------------------------------------------------------
     # Monitor attachment and observation
     # ------------------------------------------------------------------
-    def attach_monitors(self, monitors: Sequence, resume: bool = False) -> None:
-        """Classify monitors and (re)build lane-packed accumulators.
+    def attach_monitors(self, monitors: Sequence) -> None:
+        """Classify monitors and build lane-packed accumulators.
 
-        Monitors must already carry their ``begin()`` state (fresh or
-        restored from a checkpoint). With ``resume=True`` the packed
-        counters and previous-value planes are re-seeded from the
-        monitors' own accumulated statistics, so a resumed run counts
-        exactly as if it had never stopped — including across a
-        mid-word checkpoint boundary.
+        Monitors must already carry their ``begin()`` state, fresh or
+        restored from a checkpoint. The packed counters and
+        previous-value planes are seeded from the monitors' own
+        statistics, so a resumed run counts exactly as if it had never
+        stopped — including across a mid-word checkpoint boundary.
         """
         from repro.sim.batch import BatchProbe, BatchToggleMonitor
 
+        obs.counter("lanes.packed").inc(self.batch_size)
         self._fast = []
         self._probes = []
         self._generic = []
+        self.observed = 0
         for monitor in monitors:
             if type(monitor) is BatchToggleMonitor:
-                self._fast.append(self._attach_fast(monitor, resume))
+                self._fast.append(self._attach_fast(monitor))
             elif type(monitor) is BatchProbe:
-                self._probes.append(self._attach_probe(monitor, resume))
+                self._probes.append(self._attach_probe(monitor))
             else:
                 self._generic.append(monitor)
 
-    def _attach_fast(self, monitor, resume: bool) -> _FastMonitorState:
+    def _attach_fast(self, monitor) -> _FastMonitorState:
+        """Numpy-array accumulators: ``observe`` costs one uint64 gather,
+        XOR and unpackbits per word and cycle."""
         state = _FastMonitorState(monitor)
-        state.vectorized = all(w.lanes <= 64 for w in self.words)
-        if state.vectorized:
-            return self._attach_fast_vectorized(state, monitor, resume)
-        n_planes = self.program.n_planes
-        for word in self.words:
-            watch: List[Tuple[int, int, List[int]]] = []
-            prev = [0] * n_planes
-            for net in monitor._watched:
-                off, width = self._net_span[net]
-                counters: List[int] = []
-                if resume:
-                    counts = monitor.toggles[net][
-                        word.lane0 : word.lane0 + word.lanes
-                    ]
-                    peak = int(counts.max()) if counts.size else 0
-                    if peak:
-                        counters = pack_lanes(counts, peak.bit_length())
-                    previous = monitor._previous.get(net)
-                    if previous is not None:
-                        planes = pack_lanes(
-                            previous[word.lane0 : word.lane0 + word.lanes],
-                            width,
-                        )
-                        prev[off : off + width] = planes
-                watch.append((off, off + width, counters))
-            state.watch.append(watch)
-            state.prev.append(prev)
-        state.seeded = resume and bool(monitor._previous)
-        return state
-
-    def _attach_fast_vectorized(
-        self, state: _FastMonitorState, monitor, resume: bool
-    ) -> _FastMonitorState:
-        """Numpy-array accumulators for words that fit a machine word.
-
-        ``observe`` then costs one uint64 gather + XOR + unpackbits per
-        cycle instead of a Python ripple-increment per watched plane.
-        """
         indices: List[int] = []
         for net in monitor._watched:
             off, width = self._net_span[net]
             state.net_slices.append((len(indices), len(indices) + width))
             indices.extend(range(off, off + width))
         state.watch_idx = np.array(indices, dtype=np.intp)
-        n_nets = len(monitor._watched)
         for word in self.words:
+            lanes = slice(word.lane0, word.lane0 + word.lanes)
             prev = np.zeros(len(indices), dtype=np.uint64)
-            acc = np.zeros((len(indices), word.lanes), dtype=np.uint64)
-            base = np.zeros((n_nets, word.lanes), dtype=np.uint64)
-            if resume:
-                for j, net in enumerate(monitor._watched):
-                    base[j] = monitor.toggles[net][
-                        word.lane0 : word.lane0 + word.lanes
-                    ]
-                    previous = monitor._previous.get(net)
-                    if previous is not None:
-                        _off, width = self._net_span[net]
-                        start, _end = state.net_slices[j]
-                        prev[start : start + width] = pack_lanes(
-                            previous[word.lane0 : word.lane0 + word.lanes],
-                            width,
-                        )
-            state.prev_arr.append(prev)
-            state.acc.append(acc)
+            base = np.zeros((len(monitor._watched), word.lanes), dtype=np.uint64)
+            for j, net in enumerate(monitor._watched):
+                base[j] = monitor.toggles[net][lanes]
+                previous = monitor._previous.get(net)
+                if previous is not None:
+                    start, end = state.net_slices[j]
+                    prev[start:end] = pack_lanes(previous[lanes], end - start)
+            state.prev.append(prev)
+            state.acc.append(
+                np.zeros((len(indices), word.lanes), dtype=np.uint64)
+            )
             state.base.append(base)
-        state.seeded = resume and bool(monitor._previous)
         return state
 
-    def _attach_probe(self, probe, resume: bool) -> _ProbeState:
+    def _attach_probe(self, probe) -> _ProbeState:
         state = _ProbeState(probe)
         for word in self.words:
-            counters: List[int] = []
-            if resume:
-                counts = probe.true_counts[
-                    word.lane0 : word.lane0 + word.lanes
-                ].astype(np.uint64)
-                peak = int(counts.max()) if counts.size else 0
-                if peak:
-                    counters = pack_lanes(counts, peak.bit_length())
-            state.counters.append(counters)
+            counts = probe.true_counts[word.lane0 : word.lane0 + word.lanes]
+            peak = int(counts.max())
+            state.counters.append(
+                pack_lanes(counts, peak.bit_length()) if peak else []
+            )
         return state
 
     def observe(self, cycle: int) -> None:
         """Accumulate one settled cycle into all attached monitors."""
         for state in self._fast:
-            if state.vectorized:
-                for word, prev, acc in zip(
-                    self.words, state.prev_arr, state.acc
-                ):
-                    vals = np.array(word.v, dtype=np.uint64)[state.watch_idx]
-                    if state.seeded:
-                        bits = np.unpackbits(
-                            (vals ^ prev).astype("<u8").view(np.uint8)
-                            .reshape(-1, 8),
-                            axis=1,
-                            bitorder="little",
-                        )
-                        acc += bits[:, : word.lanes]
-                    prev[:] = vals
-                state.seeded = True
-            elif state.seeded:
-                for word, watch, prev in zip(
-                    self.words, state.watch, state.prev
-                ):
-                    v = word.v
-                    for start, end, counters in watch:
-                        for idx in range(start, end):
-                            x = v[idx]
-                            delta = prev[idx] ^ x
-                            if delta:
-                                prev[idx] = x
-                                _ripple_increment(counters, delta)
-            else:
-                # First observation seeds the previous values only
-                # (matches BatchToggleMonitor: no toggle on cycle one).
-                for word, watch, prev in zip(
-                    self.words, state.watch, state.prev
-                ):
-                    v = word.v
-                    for start, end, _counters in watch:
-                        prev[start:end] = v[start:end]
-                state.seeded = True
+            for word, prev, acc in zip(self.words, state.prev, state.acc):
+                vals = np.array(word.v, dtype=np.uint64)[state.watch_idx]
+                if state.seeded:
+                    bits = np.unpackbits(
+                        (vals ^ prev).astype("<u8").view(np.uint8)
+                        .reshape(-1, 8),
+                        axis=1,
+                        bitorder="little",
+                    )
+                    acc += bits[:, : word.lanes]
+                prev[:] = vals
+            # The first observation only seeds the previous values
+            # (as BatchToggleMonitor: no toggle on cycle one).
+            state.seeded = True
         for state in self._probes:
             resolved = state.probe._resolved
             for word, counters in zip(self.words, state.counters):
@@ -1221,28 +1122,24 @@ class BitsliceBatchKernel:
         n = self.batch_size
         for state in self._fast:
             monitor = state.monitor
-            if state.vectorized:
-                self._sync_fast_vectorized(state, n)
-                monitor.cycles = self.observed
-                continue
             for j, net in enumerate(monitor._watched):
+                start, end = state.net_slices[j]
                 counts = np.zeros(n, dtype=np.uint64)
-                for word, watch in zip(self.words, state.watch):
-                    _start, _end, counters = watch[j]
-                    if counters:
-                        counts[word.lane0 : word.lane0 + word.lanes] = (
-                            unpack_lanes(counters, word.lanes)
-                        )
+                for word, acc, base in zip(self.words, state.acc, state.base):
+                    counts[word.lane0 : word.lane0 + word.lanes] = base[j] + acc[
+                        start:end
+                    ].sum(axis=0, dtype=np.uint64)
                 monitor.toggles[net] = counts
                 if state.seeded:
-                    off, width = self._net_span[net]
                     previous = np.zeros(n, dtype=np.uint64)
                     for word, prev in zip(self.words, state.prev):
                         previous[word.lane0 : word.lane0 + word.lanes] = (
-                            unpack_lanes(prev[off : off + width], word.lanes)
+                            unpack_lanes(
+                                [int(p) for p in prev[start:end]], word.lanes
+                            )
                         )
                     monitor._previous[net] = previous
-            monitor.cycles = self.observed
+            monitor.cycles = state.cycles + self.observed
         for state in self._probes:
             counts = np.zeros(n, dtype=np.int64)
             for word, counters in zip(self.words, state.counters):
@@ -1251,27 +1148,7 @@ class BitsliceBatchKernel:
                         unpack_lanes(counters, word.lanes).astype(np.int64)
                     )
             state.probe.true_counts = counts
-            state.probe.cycles = self.observed
-
-    def _sync_fast_vectorized(self, state: _FastMonitorState, n: int) -> None:
-        monitor = state.monitor
-        for j, net in enumerate(monitor._watched):
-            start, end = state.net_slices[j]
-            counts = np.zeros(n, dtype=np.uint64)
-            for word, acc, base in zip(self.words, state.acc, state.base):
-                counts[word.lane0 : word.lane0 + word.lanes] = base[j] + acc[
-                    start:end
-                ].sum(axis=0, dtype=np.uint64)
-            monitor.toggles[net] = counts
-            if state.seeded:
-                previous = np.zeros(n, dtype=np.uint64)
-                for word, prev in zip(self.words, state.prev_arr):
-                    previous[word.lane0 : word.lane0 + word.lanes] = (
-                        unpack_lanes(
-                            [int(p) for p in prev[start:end]], word.lanes
-                        )
-                    )
-                monitor._previous[net] = previous
+            state.probe.cycles = state.cycles + self.observed
 
     # ------------------------------------------------------------------
     # Checkpoint interop (value/state materialisation)

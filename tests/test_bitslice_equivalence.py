@@ -8,11 +8,13 @@ counts, final register state). The bit-sliced kernel is a batch engine:
 it meets the reference through the broadcast oracle of
 ``tests/test_batch_sim.py`` (every net, every cycle) on all shipped
 designs and hypothesis-generated random netlists, and the compiled
-batch engine at lane widths {1, 7, 64, 200}.
+batch engine at batch sizes {1, 7, 64, 200} of 64-lane words (and, in
+the CI-only campaign, at every word boundary up to 200 lanes).
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 
 import numpy as np
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.boolean.expr import var
 from repro.designs import (
     alu_control_dominated,
     cordic_pipeline,
@@ -37,6 +40,7 @@ from repro.errors import SimulationError
 from repro.netlist.builder import DesignBuilder
 from repro.runconfig import ENGINES, RunConfig
 from repro.sim import (
+    BatchProbe,
     BatchRandomStimulus,
     BatchSimulator,
     BatchToggleMonitor,
@@ -65,10 +69,10 @@ SHIPPED_DESIGNS = [
 ]
 IDS = [getattr(m, "__name__", "random_dp") for m in SHIPPED_DESIGNS]
 
-#: The lane widths the acceptance criteria pin down (1 = degenerate
-#: scalar lanes, 7 = every word ragged, 64 = native, 200 = multi-lane
-#: words wider than the machine word).
-LANE_WIDTHS = (1, 7, 64, 200)
+#: The batch sizes the differential rig pins down, in 64-lane words
+#: (1 = one lane, 7 = a ragged sub-word, 64 = exactly one word, 200 =
+#: three full words and a ragged one).
+BATCH_SIZES = (1, 7, 64, 200)
 
 CYCLES = 60
 WARMUP = 6
@@ -107,23 +111,29 @@ def test_bitslice_matches_reference_and_compiled(make_design):
 
 
 # ----------------------------------------------------------------------
-# Batch engine: lane widths {1, 7, 64, 200}, bit-exact vs compiled
+# Batch engine: batch sizes {1, 7, 64, 200}, bit-exact vs compiled
 # ----------------------------------------------------------------------
+def _assert_same_final_state(ref_sim, sim):
+    """Final architectural state, materialised from the kernels."""
+    ref, got = ref_sim.checkpoint(), sim.checkpoint()
+    for cell, arr in ref.state.items():
+        np.testing.assert_array_equal(arr, got.state[cell], err_msg=cell.name)
+    for net, arr in ref.values.items():
+        np.testing.assert_array_equal(arr, got.values[net], err_msg=net.name)
+
+
 @pytest.mark.parametrize("make_design", SHIPPED_DESIGNS, ids=IDS)
-@pytest.mark.parametrize("lane_width", LANE_WIDTHS)
-def test_batch_bitslice_lane_widths(make_design, lane_width):
+@pytest.mark.parametrize("batch", BATCH_SIZES)
+def test_batch_bitslice_lane_widths(make_design, batch):
+    """Toggle counts and final state at every pinned lane count."""
     design = make_design()
-    batch = 10  # ragged vs 7 and 64? no — ragged vs 7; sub-word vs 64/200
     ref = BatchSimulator(design, batch_size=batch, engine="compiled")
     mon_ref = BatchToggleMonitor()
     ref.run(BatchRandomStimulus(design, batch, seed=21), CYCLES,
             monitors=[mon_ref], warmup=WARMUP)
 
-    sliced = BatchSimulator(
-        design, batch_size=batch, engine="bitslice", lane_width=lane_width
-    )
+    sliced = BatchSimulator(design, batch_size=batch, engine="bitslice")
     assert sliced.fallback_reason is None
-    assert sliced.lane_width == lane_width
     mon_bs = BatchToggleMonitor()
     sliced.run(BatchRandomStimulus(design, batch, seed=21), CYCLES,
                monitors=[mon_bs], warmup=WARMUP)
@@ -133,13 +143,70 @@ def test_batch_bitslice_lane_widths(make_design, lane_width):
         np.testing.assert_array_equal(
             mon_ref.toggles[net], mon_bs.toggles[net], err_msg=net.name
         )
-    # Final architectural state, materialised from the planes.
-    ref_ck = ref.checkpoint()
-    bs_ck = sliced.checkpoint()
-    for cell, arr in ref_ck.state.items():
-        np.testing.assert_array_equal(arr, bs_ck.state[cell], err_msg=cell.name)
-    for net, arr in ref_ck.values.items():
-        np.testing.assert_array_equal(arr, bs_ck.values[net], err_msg=net.name)
+    _assert_same_final_state(ref, sliced)
+
+
+#: Batch sizes on both sides of each word boundary up to 200 lanes.
+WORD_BOUNDARY_BATCHES = (63, 64, 65, 128, 129, 200)
+
+
+def _checkpointed_run(design, batch, engine, expr):
+    """A run cut by a mid-run checkpoint and resumed on a fresh simulator.
+
+    Returns the uninterrupted monitors, the resumed monitors and the
+    resumed simulator.
+    """
+    def monitors():
+        return [BatchToggleMonitor(), BatchProbe("p", expr)]
+
+    first = BatchSimulator(design, batch_size=batch, engine=engine)
+    full = first.run(
+        BatchRandomStimulus(design, batch, seed=batch), CYCLES,
+        monitors=monitors(), warmup=WARMUP, checkpoint_every=CYCLES // 3,
+    )
+    checkpoint = first.last_checkpoint
+    replay = BatchRandomStimulus(design, batch, seed=batch)
+    for cycle in range(checkpoint.cycle):
+        replay.values(cycle)
+    resumed_sim = BatchSimulator(design, batch_size=batch, engine=engine)
+    resumed = resumed_sim.run(
+        replay, CYCLES, warmup=WARMUP, resume_from=checkpoint
+    )
+    return full, resumed, resumed_sim
+
+
+@pytest.mark.skipif(
+    not os.environ.get("REPRO_FULL_CAMPAIGN"),
+    reason="full campaign is CI-only; set REPRO_FULL_CAMPAIGN=1",
+)
+def test_word_boundaries_full_campaign():
+    """Bitslice against the numpy kernel on every shipped design, on
+    both sides of every word boundary up to 200 lanes: toggles, probe
+    counts, a mid-run checkpoint and resume, and the final state."""
+    for make_design in SHIPPED_DESIGNS:
+        design = make_design()
+        nets = sorted(design.nets, key=lambda net: net.name)
+        first, last = nets[0], nets[-1]
+        expr = var(f"{first.name}[0]") & ~var(f"{last.name}[{last.width - 1}]")
+        for batch in WORD_BOUNDARY_BATCHES:
+            context = f"{design.name} at {batch} lanes"
+            ref_full, ref, ref_sim = _checkpointed_run(
+                design, batch, "compiled", expr
+            )
+            full, got, sim = _checkpointed_run(design, batch, "bitslice", expr)
+            assert sim.fallback_reason is None, context
+            for monitors in (ref_full, full, got):
+                for net, counts in ref[0].toggles.items():
+                    np.testing.assert_array_equal(
+                        counts, monitors[0].toggles[net],
+                        err_msg=f"{context}: {net.name}",
+                    )
+                np.testing.assert_array_equal(
+                    ref[1].true_counts, monitors[1].true_counts, err_msg=context
+                )
+                assert monitors[0].cycles == ref[0].cycles == CYCLES, context
+                assert monitors[1].cycles == ref[1].cycles == CYCLES, context
+            _assert_same_final_state(ref_sim, sim)
 
 
 # ----------------------------------------------------------------------
@@ -175,12 +242,9 @@ def test_random_netlists_scalar_equivalence(
 @given(
     design_seed=st.integers(min_value=0, max_value=2**16),
     stim_seed=st.integers(min_value=0, max_value=2**16),
-    batch=st.integers(min_value=1, max_value=30),
-    lane_width=st.sampled_from(LANE_WIDTHS),
+    batch=st.integers(min_value=1, max_value=140),
 )
-def test_random_netlists_batch_equivalence(
-    design_seed, stim_seed, batch, lane_width
-):
+def test_random_netlists_batch_equivalence(design_seed, stim_seed, batch):
     design = random_datapath(seed=design_seed, layers=2, modules_per_layer=2)
     mon_ref = BatchToggleMonitor()
     BatchSimulator(design, batch_size=batch, engine="python").run(
@@ -188,9 +252,7 @@ def test_random_netlists_batch_equivalence(
         monitors=[mon_ref], warmup=3,
     )
     mon_bs = BatchToggleMonitor()
-    BatchSimulator(
-        design, batch_size=batch, engine="bitslice", lane_width=lane_width
-    ).run(
+    BatchSimulator(design, batch_size=batch, engine="bitslice").run(
         BatchRandomStimulus(design, batch, seed=stim_seed), 30,
         monitors=[mon_bs], warmup=3,
     )
@@ -257,11 +319,6 @@ def test_bitslice_fingerprint_is_pinned():
     assert RunConfig(engine="bitslice").fingerprint() == (
         "775f8a7a92704708fba8ec44f787d98cd40a747de3ba190cefe16356d75017aa"
     )
-
-
-def test_batch_rejects_lane_width_for_other_engines():
-    with pytest.raises(SimulationError):
-        BatchSimulator(design1(), batch_size=4, engine="python", lane_width=8)
 
 
 def test_batch_rejects_checked_engine():

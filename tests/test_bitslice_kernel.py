@@ -4,7 +4,8 @@ Covers the satellite checklist of the differential rig: lane
 pack/unpack round-trips, XOR-delta popcounts vs the naive per-lane
 count, masked-overflow behaviour at word boundaries, the seeded-bug
 regression (a corrupted plane constant must fail the broadcast oracle),
-ragged final words, and checkpoint/resume across a mid-word boundary.
+ragged final words, checkpoint/resume across a mid-word boundary, and
+the lane-count guards of ``BatchSimulator``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.designs import design1, paper_example, soc_datapath
+from repro.errors import SimulationError
 from repro.sim import (
     BatchRandomStimulus,
     BatchSimulator,
@@ -113,26 +115,30 @@ def test_checked_catches_seeded_bitslice_bug():
 # ----------------------------------------------------------------------
 # Lane-count edge cases: ragged words and mid-word checkpoints
 # ----------------------------------------------------------------------
-def _toggles(design, batch, lane_width, seed, cycles=40, warmup=4):
-    sim = BatchSimulator(
-        design, batch_size=batch, engine="bitslice", lane_width=lane_width
-    )
+def _toggles(design, batch, seed, cycles=40, warmup=4):
+    sim = BatchSimulator(design, batch_size=batch, engine="bitslice")
     monitor = BatchToggleMonitor()
     sim.run(BatchRandomStimulus(design, batch, seed=seed), cycles,
             monitors=[monitor], warmup=warmup)
     return monitor
 
 
-@pytest.mark.parametrize("batch,lane_width", [(13, 5), (7, 64), (9, 4), (1, 64)])
-def test_ragged_final_word_counts_no_phantom_toggles(batch, lane_width):
-    """A batch that does not divide lane_width must match the plain
-    numpy batch engine exactly — phantom lanes contribute nothing."""
+# (batch size, stimulus seed): one lane, sub-word, exactly one 64-lane
+# word, and a full word plus a ragged one.
+@pytest.mark.parametrize(
+    "batch,seed",
+    [(1, 64), (7, 64), (9, 4), (13, 5), (64, 17), (70, 17), (129, 17)],
+)
+def test_ragged_final_word_counts_no_phantom_toggles(batch, seed):
+    """A batch that is not a multiple of the 64-lane word must match
+    the plain numpy batch engine exactly — phantom lanes contribute
+    nothing."""
     design = paper_example()
     ref_sim = BatchSimulator(design, batch_size=batch, engine="python")
     ref = BatchToggleMonitor()
-    ref_sim.run(BatchRandomStimulus(design, batch, seed=17), 40,
+    ref_sim.run(BatchRandomStimulus(design, batch, seed=seed), 40,
                 monitors=[ref], warmup=4)
-    got = _toggles(design, batch, lane_width, seed=17)
+    got = _toggles(design, batch, seed=seed)
     assert got.cycles == ref.cycles
     for net in ref.toggles:
         np.testing.assert_array_equal(
@@ -142,16 +148,15 @@ def test_ragged_final_word_counts_no_phantom_toggles(batch, lane_width):
 
 @pytest.mark.parametrize("checkpoint_every", [3, 7, 21])
 def test_checkpoint_resume_across_mid_word_boundary(checkpoint_every):
-    """Resume from a checkpoint taken mid-word (and mid-warmup for the
-    small cadences) reproduces the uninterrupted counts exactly."""
+    """Resume from a checkpoint of a full word plus a 6-lane ragged one,
+    taken mid-warmup for the small cadences, reproduces the
+    uninterrupted counts exactly."""
     design = soc_datapath()
-    batch, lane_width, cycles, warmup, seed = 13, 5, 50, 6, 9
+    batch, cycles, warmup, seed = 70, 50, 6, 9
 
-    full = _toggles(design, batch, lane_width, seed, cycles, warmup)
+    full = _toggles(design, batch, seed, cycles, warmup)
 
-    first = BatchSimulator(
-        design, batch_size=batch, engine="bitslice", lane_width=lane_width
-    )
+    first = BatchSimulator(design, batch_size=batch, engine="bitslice")
     first.run(
         BatchRandomStimulus(design, batch, seed=seed), cycles,
         monitors=[BatchToggleMonitor()], warmup=warmup,
@@ -164,9 +169,7 @@ def test_checkpoint_resume_across_mid_word_boundary(checkpoint_every):
     replay = BatchRandomStimulus(design, batch, seed=seed)
     for cycle in range(checkpoint.cycle):
         replay.values(cycle)
-    resumed_sim = BatchSimulator(
-        design, batch_size=batch, engine="bitslice", lane_width=lane_width
-    )
+    resumed_sim = BatchSimulator(design, batch_size=batch, engine="bitslice")
     resumed = resumed_sim.run(replay, cycles, warmup=warmup,
                               resume_from=checkpoint)
     monitor = resumed[0]
@@ -181,12 +184,11 @@ def test_checkpoint_is_engine_portable():
     """A checkpoint taken under bitslice resumes under the numpy engine
     (and vice versa) with identical counts."""
     design = paper_example()
-    batch, cycles, warmup, seed = 13, 40, 4, 23
+    batch, cycles, warmup, seed = 70, 40, 4, 23
 
-    full = _toggles(design, batch, 5, seed, cycles, warmup)
+    full = _toggles(design, batch, seed, cycles, warmup)
 
-    donor = BatchSimulator(design, batch_size=batch, engine="bitslice",
-                           lane_width=5)
+    donor = BatchSimulator(design, batch_size=batch, engine="bitslice")
     donor.run(BatchRandomStimulus(design, batch, seed=seed), cycles,
               monitors=[BatchToggleMonitor()], warmup=warmup,
               checkpoint_every=13)
@@ -203,8 +205,29 @@ def test_checkpoint_is_engine_portable():
         )
 
 
+@pytest.mark.parametrize("engine", ["python", "bitslice"])
+@pytest.mark.parametrize("lanes", [1, 4])
+def test_stimulus_of_another_lane_count_is_rejected(engine, lanes):
+    """A stimulus column must hold one value per lane: a 1-lane column
+    broadcast over 8 lanes would repeat one replication in every lane
+    and report a zero-width interval."""
+    design = design1()
+    sim = BatchSimulator(design, batch_size=8, engine=engine)
+    shapes = rf"values of shape \({lanes},\), not \(8,\)"
+    with pytest.raises(SimulationError, match=rf"input '\w+' {shapes}"):
+        sim.run(BatchRandomStimulus(design, lanes, seed=1), 200,
+                monitors=[BatchToggleMonitor()])
+
+
+@pytest.mark.parametrize("engine", ["python", "bitslice"])
+@pytest.mark.parametrize("batch", [0, -1])
+def test_batch_size_below_one_is_rejected(engine, batch):
+    with pytest.raises(SimulationError, match="batch_size must be >= 1"):
+        BatchSimulator(design1(), batch_size=batch, engine=engine)
+
+
 # ----------------------------------------------------------------------
-# Monitor flavours: probes, wide words (> 64 lanes), generic monitors
+# Monitor flavours: probes, generic monitors
 # ----------------------------------------------------------------------
 def test_batch_probe_matches_python_engine():
     from repro.boolean.expr import var
@@ -221,52 +244,6 @@ def test_batch_probe_matches_python_engine():
         counts[engine] = (probe.true_counts.copy(), probe.cycles)
     np.testing.assert_array_equal(counts["python"][0], counts["bitslice"][0])
     assert counts["python"][1] == counts["bitslice"][1]
-
-
-def test_wide_word_monitors_use_ripple_counters():
-    """A word wider than a machine word (> 64 lanes) takes the
-    bigint ripple-counter path and still matches the numpy engine."""
-    design = paper_example()
-    batch, lane_width = 100, 200
-    ref = BatchToggleMonitor()
-    BatchSimulator(design, batch_size=batch, engine="python").run(
-        BatchRandomStimulus(design, batch, seed=31), 40,
-        monitors=[ref], warmup=4,
-    )
-    got = _toggles(design, batch, lane_width, seed=31)
-    for net in ref.toggles:
-        np.testing.assert_array_equal(
-            ref.toggles[net], got.toggles[net], err_msg=net.name
-        )
-
-
-def test_wide_word_checkpoint_resume():
-    """Resume re-seeds the bigint ripple counters when lanes > 64."""
-    design = paper_example()
-    batch, lane_width, cycles, warmup, seed = 70, 100, 30, 3, 13
-
-    full = _toggles(design, batch, lane_width, seed, cycles, warmup)
-
-    first = BatchSimulator(
-        design, batch_size=batch, engine="bitslice", lane_width=lane_width
-    )
-    first.run(
-        BatchRandomStimulus(design, batch, seed=seed), cycles,
-        monitors=[BatchToggleMonitor()], warmup=warmup, checkpoint_every=11,
-    )
-    checkpoint = first.last_checkpoint
-    replay = BatchRandomStimulus(design, batch, seed=seed)
-    for cycle in range(checkpoint.cycle):
-        replay.values(cycle)
-    resumed_sim = BatchSimulator(
-        design, batch_size=batch, engine="bitslice", lane_width=lane_width
-    )
-    resumed = resumed_sim.run(replay, cycles, warmup=warmup,
-                              resume_from=checkpoint)
-    for net in full.toggles:
-        np.testing.assert_array_equal(
-            full.toggles[net], resumed[0].toggles[net], err_msg=net.name
-        )
 
 
 def test_generic_monitor_sees_lane_values():

@@ -123,14 +123,11 @@ def test_groups_equal_each_shard_alone(workers):
     _assert_matches_alone(design, run, "bitslice")
 
 
-def test_probes_nets_checkpoints_and_lane_width_thread_through():
+def test_probes_and_nets_thread_through():
     design = design1()
     probes = {"en": var("EN"), "idle": ~var("EN")}
     nets = [net.name for net in design.nets[:5]]
-    run = _sharded(
-        design, engine="bitslice", probes=probes, nets=nets,
-        checkpoint_every=7, lane_width=8,
-    )
+    run = _sharded(design, engine="bitslice", probes=probes, nets=nets)
     assert set(run.stats.toggles) == set(nets)
     assert set(run.stats.probe_true) == {"en", "idle"}
     _assert_matches_alone(design, run, "bitslice", probes, nets)

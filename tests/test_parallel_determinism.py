@@ -269,16 +269,6 @@ def test_shard_checkpoint_resume_matches_uninterrupted():
         assert np.array_equal(resumed.toggle_counts[name], counts)
 
 
-def test_run_batch_sharded_accepts_checkpoint_every():
-    # checkpoint_every threads through the sharded path without
-    # perturbing the statistics.
-    design = design1()
-    plain = _sharded(design, 1)
-    checked = _sharded(design, 2, checkpoint_every=7)
-    for name in plain.stats.toggles:
-        assert np.array_equal(plain.stats.toggles[name], checked.stats.toggles[name])
-
-
 # ----------------------------------------------------------------------
 # Regression: degenerate CI at batch_size == 1 (satellite 3)
 # ----------------------------------------------------------------------
